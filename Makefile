@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race fuzz-smoke cache-roundtrip chaos resume-roundtrip serve-smoke dse-smoke fabric-smoke fabric-chaos bench bench-smoke bench-measure fidelity check
+.PHONY: build test vet race cpu-matrix smoke fuzz-smoke cache-roundtrip chaos resume-roundtrip serve-smoke dse-smoke fabric-smoke fabric-chaos bench bench-smoke bench-measure fidelity check
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,31 @@ vet:
 race:
 	$(GO) test -race ./internal/metrics ./internal/core ./internal/artifact ./internal/faultinject ./internal/serve
 	$(GO) test -race -short ./internal/fabric
+
+# Core-count matrix: the sweep engine and the metrics package (whose span
+# attribution must sum to wall clock at any parallelism) pass at 1, 2 and
+# 4 CPUs, and the fabric at 1 and 4, so a test that depends on the host's
+# core count fails here rather than only on a differently shaped machine.
+cpu-matrix:
+	$(GO) test -cpu 1,2,4 ./internal/core ./internal/metrics
+	$(GO) test -short -cpu 1,4 ./internal/fabric
+
+# Smoke: every example and cmd/validate run to exit 0, and boomflow's
+# profile mode writes its SimPoint files and one checkpoint per point.
+smoke:
+	rm -rf .smoke-check && mkdir -p .smoke-check
+	for e in quickstart hotspots energy speedup; do \
+		$(GO) run ./examples/$$e > .smoke-check/$$e.txt \
+			|| { echo "smoke: examples/$$e failed"; exit 1; }; \
+	done
+	$(GO) run ./cmd/validate > .smoke-check/validate.txt
+	$(GO) run ./cmd/boomflow -bench fft -mode profile -scale tiny -out .smoke-check/fft > /dev/null
+	for f in fft.bb fft.simpoints fft.weights fft-sp01.ckpt; do \
+		test -s .smoke-check/fft/$$f \
+			|| { echo "smoke: boomflow -mode profile did not write $$f"; exit 1; }; \
+	done
+	rm -rf .smoke-check
+	@echo "smoke: OK"
 
 # Fuzz smoke: a few seconds per target on top of the committed seed
 # corpora (go accepts one -fuzz target per invocation).
@@ -243,4 +268,4 @@ bench-measure:
 fidelity:
 	BOOM_FIDELITY=1 $(GO) test -run TestFidelityGate -count=1 -v ./internal/core
 
-check: vet race fuzz-smoke bench-smoke bench-measure fidelity cache-roundtrip chaos resume-roundtrip serve-smoke dse-smoke fabric-smoke fabric-chaos
+check: vet race cpu-matrix smoke fuzz-smoke bench-smoke bench-measure fidelity cache-roundtrip chaos resume-roundtrip serve-smoke dse-smoke fabric-smoke fabric-chaos

@@ -5,6 +5,14 @@
 //	go run ./cmd/boomflow -bench dijkstra -config medium -mode full -scale tiny
 //	go run ./cmd/boomflow -bench dijkstra -config mega -predictor gshare
 //
+// -mode profile runs only the profiling half of the flow — BBV generation,
+// clustering, simulation-point selection and checkpoint creation — and
+// prints the selected points; -out DIR also writes SimPoint 3.0-compatible
+// .bb/.simpoints/.weights files and one serialized checkpoint
+// (internal/ckpt format) per point:
+//
+//	go run ./cmd/boomflow -bench fft -mode profile -out /tmp/fft-ckpts
+//
 // Observability: -metrics text|json renders the flow's metrics registry
 // (per-stage spans, simulator throughput, k-means stats) after the report;
 // -metrics-out redirects it to a file. -cpuprofile and -exectrace write
@@ -22,15 +30,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime/pprof"
 	rttrace "runtime/trace"
 	"sort"
 
+	"repro/internal/bbv"
 	"repro/internal/boom"
 	"repro/internal/core"
 	"repro/internal/engineflags"
 	"repro/internal/sim"
+	"repro/internal/simpoint"
 	"repro/internal/workloads"
 )
 
@@ -38,7 +50,8 @@ func main() {
 	bench := flag.String("bench", "sha", "workload name (see -list)")
 	configName := flag.String("config", "medium", "medium|large|mega")
 	scaleFlag := flag.String("scale", "default", "tiny|default|paper")
-	mode := flag.String("mode", "simpoint", "simpoint|full")
+	mode := flag.String("mode", "simpoint", "simpoint|full|profile")
+	out := flag.String("out", "", "directory to write the profile's SimPoint files and checkpoints (-mode profile)")
 	predictor := flag.String("predictor", "tage", "tage|gshare (Takeaway #7 ablation)")
 	list := flag.Bool("list", false, "list workloads and exit")
 	trace := flag.Uint64("trace", 0, "emit a pipeline lifecycle trace for the first N instructions (full mode)")
@@ -53,6 +66,9 @@ func main() {
 			fmt.Println(n)
 		}
 		return
+	}
+	if *out != "" && *mode != "profile" {
+		fatal(fmt.Errorf("-out requires -mode profile"))
 	}
 
 	if *cpuprofile != "" {
@@ -118,6 +134,18 @@ func main() {
 
 	var r *core.Result
 	switch *mode {
+	case "profile":
+		p, err := runner.Profile(ctx, w)
+		if err != nil {
+			fatal(err)
+		}
+		printProfile(p, scale)
+		if *out != "" {
+			if err := writeProfile(*out, p); err != nil {
+				fatal(err)
+			}
+		}
+		return
 	case "simpoint":
 		fmt.Fprintf(os.Stderr, "profiling %s (%s scale)...\n", w.Name, scale)
 		p, err := runner.Profile(ctx, w)
@@ -206,6 +234,65 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// printProfile reports the profiling half: stream size, clustering and
+// the selected simulation points with their warm-up.
+func printProfile(p *core.Profile, scale workloads.Scale) {
+	w, cs := p.Workload, p.Selection.Stats
+	fmt.Printf("workload        %s (%s), %s scale\n", w.Name, w.Suite, scale)
+	fmt.Printf("instructions    %d\n", p.TotalInsts)
+	fmt.Printf("interval size   %d\n", p.Interval)
+	fmt.Printf("intervals       %d\n", len(p.Vectors))
+	fmt.Printf("basic blocks    %d\n", p.NumBlocks)
+	fmt.Printf("clusters (k)    %d\n", p.Selection.K)
+	fmt.Printf("k-means         %d runs over k=1..%d, %d iterations, converged=%v\n",
+		cs.Runs, cs.KTried, cs.Iterations, cs.Converged)
+	fmt.Printf("simpoints       %d (%.0f%% coverage)\n\n",
+		p.NumSimPoints(), 100*p.Selection.Coverage)
+	fmt.Println("rank  interval  start-inst  weight   warm-up")
+	for i, pt := range p.Selection.Selected {
+		fmt.Printf("%4d  %8d  %10d  %6.3f  %8d\n",
+			i+1, pt.Interval, int64(pt.Interval)*p.Interval, pt.Weight, p.WarmupInsts[i])
+	}
+}
+
+// writeProfile writes the SimPoint 3.0-compatible artifacts (.bb,
+// .simpoints, .weights) and one serialized checkpoint per simulation
+// point (<name>-spNN.ckpt) into dir.
+func writeProfile(dir string, p *core.Profile) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	name := p.Workload.Name
+	type file struct {
+		name  string
+		write func(io.Writer) error
+	}
+	files := []file{
+		{name + ".bb", func(f io.Writer) error { return bbv.WriteBB(f, p.Vectors) }},
+		{name + ".simpoints", func(f io.Writer) error { return simpoint.WriteSimPoints(f, p.Selection) }},
+		{name + ".weights", func(f io.Writer) error { return simpoint.WriteWeights(f, p.Selection) }},
+	}
+	for i, k := range p.Checkpoints {
+		files = append(files, file{fmt.Sprintf("%s-sp%02d.ckpt", name, i+1), k.Serialize})
+	}
+	for _, fl := range files {
+		path := filepath.Join(dir, fl.name)
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		err = fl.write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("writing %s: %w", path, err)
+		}
+		fmt.Printf("wrote %s\n", path)
+	}
+	return nil
 }
 
 func fatal(err error) {

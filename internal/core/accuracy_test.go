@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/boom"
@@ -53,30 +52,7 @@ func TestDifferentialAccuracy(t *testing.T) {
 	}
 
 	// Full-model baselines, spread over the worker pool like a sweep.
-	fulls := make(map[string]*Result, len(names))
-	var mu sync.Mutex
-	err = cold.runTasks(ctx, nil, nil, taskSet{
-		stage: StageMeasure,
-		n:     len(names),
-		id:    func(i int) taskID { return taskID{kind: "measure", workload: names[i], config: cfg.Name} },
-		do: func(ctx context.Context, i int) error {
-			w, err := workloads.Build(names[i], workloads.ScaleTiny)
-			if err != nil {
-				return err
-			}
-			res, err := cold.RunFull(ctx, w, cfg)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			fulls[names[i]] = res
-			mu.Unlock()
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fulls := fullBaselines(t, cold, names, cfg)
 
 	// Per-workload CPI error bounds. The blanket bound is the 20% the
 	// repo already claims (results_paper.txt / cmd/validate); dijkstra —

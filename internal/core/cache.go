@@ -39,12 +39,12 @@ import (
 // name embeds the version). Payload integrity is the cache's job
 // (internal/artifact); payload meaning is versioned here.
 
-// Per-stage payload schema versions. The profile stages carry two
-// parallel schema generations: the legacy versions, reserved for the
-// zero sampling spec (their keys and payloads are pinned byte-for-byte
-// by the equivalence goldens), and the spec-bearing versions, whose key
-// structs append the sampling spec so every distinct spec owns a
-// distinct cold/warm cache identity.
+// Per-stage payload schema versions. The profile stages carry two schema
+// generations: the legacy versions, reserved for the zero sampling spec
+// (their keys and payloads are pinned byte-for-byte by the equivalence
+// goldens), and the spec-bearing versions, whose key structs append the
+// sampling spec so every distinct spec owns a distinct cold/warm cache
+// identity.
 const (
 	bbvSchema     = 1
 	selectSchema  = 1
@@ -96,48 +96,49 @@ type profileKeys struct {
 	ckpt artifact.Key
 }
 
+// profileKeys returns the key chain of steps 1–3 under spec. The interval,
+// clustering config and warm-up are resolved through the spec — the zero
+// spec resolves to the legacy values — so only the key struct shape and
+// schema number tell the two generations apart. The zero spec keeps the
+// legacy shape, pinned byte-for-byte: pre-spec cache entries and
+// fingerprints must keep resolving. Do not touch those structs. A non-zero
+// spec rides in every stage key (features change the BBV payload and the
+// clustering; warm-up policy changes the checkpoints), the resolved
+// interval replaces the workload's implicit one in the identity, and the
+// clustering key hashes the resolved simpoint.Config, so Dims/MaxK
+// overrides are part of the chain.
 func (r *Runner) profileKeys(w *workloads.Workload, spec sampling.Spec) profileKeys {
-	if spec.IsZero() {
-		// Legacy shape, pinned byte-for-byte: pre-spec cache entries and
-		// fingerprints must keep resolving. Do not touch these structs.
-		var k profileKeys
-		k.bbv = artifact.NewKey("bbv", bbvSchema, struct {
-			Workload workloadIdent
-		}{identOf(w)})
-		k.sel = artifact.NewKey("select", selectSchema, struct {
-			BBV    string
-			Config simpoint.Config
-		}{k.bbv.Hex(), r.fc.SimPoint})
-		k.ckpt = artifact.NewKey("checkpoint", ckptSchema, struct {
-			BBV         string
-			Select      string
-			WarmupInsts int64
-		}{k.bbv.Hex(), k.sel.Hex(), r.fc.WarmupInsts})
-		return k
-	}
-	// Spec-bearing shape: the resolved interval replaces the workload's
-	// implicit one in the identity (it determines the committed-stream
-	// split), the spec rides in every stage key (features change the BBV
-	// payload and the clustering; warm-up policy changes the checkpoints),
-	// and the clustering key hashes the resolved simpoint.Config so
-	// Dims/MaxK overrides are part of the chain.
 	ident := identOf(w)
 	ident.IntervalSize = spec.ResolveInterval(w.IntervalSize)
+	spCfg := r.simpointConfig(spec)
+	warmup := spec.ResolveWarmup(ident.IntervalSize, r.fc.WarmupInsts)
+	key := func(stage string, legacySchema, specSchema int, legacy, withSpec interface{}) artifact.Key {
+		if spec.IsZero() {
+			return artifact.NewKey(stage, legacySchema, legacy)
+		}
+		return artifact.NewKey(stage, specSchema, withSpec)
+	}
 	var k profileKeys
-	k.bbv = artifact.NewKey("bbv", bbvSpecSchema, struct {
+	k.bbv = key("bbv", bbvSchema, bbvSpecSchema, struct {
+		Workload workloadIdent
+	}{ident}, struct {
 		Workload workloadIdent
 		Sampling sampling.Spec
 	}{ident, spec})
-	k.sel = artifact.NewKey("select", selectSpecSchema, struct {
+	k.sel = key("select", selectSchema, selectSpecSchema, struct {
+		BBV    string
+		Config simpoint.Config
+	}{k.bbv.Hex(), spCfg}, struct {
 		BBV      string
 		Config   simpoint.Config
 		Sampling sampling.Spec
-	}{k.bbv.Hex(), r.simpointConfig(spec), spec})
-	k.ckpt = artifact.NewKey("checkpoint", ckptSpecSchema, struct {
+	}{k.bbv.Hex(), spCfg, spec})
+	ckpt := struct {
 		BBV         string
 		Select      string
 		WarmupInsts int64
-	}{k.bbv.Hex(), k.sel.Hex(), spec.ResolveWarmup(ident.IntervalSize, r.fc.WarmupInsts)})
+	}{k.bbv.Hex(), k.sel.Hex(), warmup}
+	k.ckpt = key("checkpoint", ckptSchema, ckptSpecSchema, ckpt, ckpt)
 	return k
 }
 
@@ -234,7 +235,14 @@ func wrapStage(stage, workload, config string, err error) error {
 // stream. The BBV payload reuses the SimPoint 3.0 .bb text format (it is
 // already deterministic and interoperable); the rest are binary.
 
-func encodeBBVPayload(vectors []bbv.Vector, totalInsts uint64, numBlocks int) ([]byte, error) {
+// encodeBBVPayloadSpec encodes the profile stage's payload under a
+// sampling spec: total instructions, block count and the .bb body,
+// followed — only under a bbv+mav spec — by a .mav-format section holding
+// the per-interval memory-access vectors. Zero-spec payloads are the
+// legacy layout byte for byte (the spec-bearing key schema keeps the two
+// generations from ever sharing an entry, so the section's presence is
+// fully determined by the key).
+func encodeBBVPayloadSpec(vectors []bbv.Vector, mavs []mav.Vector, totalInsts uint64, numBlocks int, spec sampling.Spec) ([]byte, error) {
 	var body bytes.Buffer
 	if err := bbv.WriteBB(&body, vectors); err != nil {
 		return nil, err
@@ -244,50 +252,14 @@ func encodeBBVPayload(vectors []bbv.Vector, totalInsts uint64, numBlocks int) ([
 	bw.U64(totalInsts)
 	bw.Int(numBlocks)
 	bw.Bytes(body.Bytes())
+	if spec.UseMAV() {
+		body.Reset()
+		if err := mav.WriteMAV(&body, mavs); err != nil {
+			return nil, err
+		}
+		bw.Bytes(body.Bytes())
+	}
 	return buf.Bytes(), bw.Err()
-}
-
-func decodeBBVPayload(payload []byte) (vectors []bbv.Vector, totalInsts uint64, numBlocks int, err error) {
-	br := binio.NewReader(bytes.NewReader(payload))
-	totalInsts = br.U64()
-	numBlocks = br.Int()
-	body := br.Bytes(maxCachedLen)
-	if err := br.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	vectors, err = bbv.ReadBB(bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return vectors, totalInsts, numBlocks, nil
-}
-
-// encodeBBVPayloadSpec encodes the profile stage's payload under a
-// sampling spec: the legacy layout, followed — only under a bbv+mav spec
-// — by a .mav-format section holding the per-interval memory-access
-// vectors. Zero-spec payloads are byte-identical to pre-spec ones (the
-// spec-bearing key schema keeps the two generations from ever sharing an
-// entry, so the section's presence is fully determined by the key).
-func encodeBBVPayloadSpec(vectors []bbv.Vector, mavs []mav.Vector, totalInsts uint64, numBlocks int, spec sampling.Spec) ([]byte, error) {
-	payload, err := encodeBBVPayload(vectors, totalInsts, numBlocks)
-	if err != nil {
-		return nil, err
-	}
-	if !spec.UseMAV() {
-		return payload, nil
-	}
-	var body bytes.Buffer
-	if err := mav.WriteMAV(&body, mavs); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	buf.Write(payload)
-	bw := binio.NewWriter(&buf)
-	bw.Bytes(body.Bytes())
-	if err := bw.Err(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 func decodeBBVPayloadSpec(payload []byte, spec sampling.Spec) (vectors []bbv.Vector, mavs []mav.Vector, totalInsts uint64, numBlocks int, err error) {

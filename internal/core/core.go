@@ -29,6 +29,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/asap7"
 	"repro/internal/bbv"
@@ -92,6 +93,18 @@ type Profile struct {
 	WarmupInsts []int64            // actual warm-up available per checkpoint
 	WallNS      int64              // compute wall-clock of steps 1–3 (cache hits report the original cost)
 	CacheKey    string             // artifact-chain fingerprint of steps 1–3; empty without a cache
+
+	// lazy, when set, holds the cached checkpoint payload of a profile a
+	// sweep served from the cache: Checkpoints and WarmupInsts are decoded
+	// on the first measurement that misses the cache (Runner.loadCheckpoints),
+	// so a warm sweep never pays for them.
+	lazy *lazyCheckpoints
+}
+
+type lazyCheckpoints struct {
+	once    sync.Once
+	payload []byte
+	err     error
 }
 
 // NumSimPoints returns the number of selected simulation points (the
@@ -170,7 +183,7 @@ type Sweep struct {
 	Sampling    sampling.Spec                 // effective sampling spec (zero = legacy defaults)
 	Names       []string                      // requested workloads, request order
 	ConfigNames []string                      // requested configs, request order
-	Profiles    map[string]*Profile           // by workload (may be partial)
+	Profiles    map[string]*Profile           // by workload (may be partial); Checkpoints nil if served from cache and never needed
 	Results     map[string]map[string]*Result // [config][workload] (may be partial)
 }
 

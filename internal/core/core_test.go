@@ -230,7 +230,7 @@ func TestPowerAccuracySimPointVsFull(t *testing.T) {
 
 // TestCheckpointFilesDriveTheFlow: checkpoints survive serialization and
 // still produce identical measurements (the on-disk artifact path of
-// cmd/simpoints).
+// cmd/boomflow -mode profile -out).
 func TestCheckpointFilesDriveTheFlow(t *testing.T) {
 	fc := DefaultFlowConfig()
 	p := profileOf(t, "stringsearch")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"os"
-	"sync"
 	"testing"
 
 	"repro/internal/boom"
@@ -35,30 +34,7 @@ func TestFidelityGate(t *testing.T) {
 	r := New(fc, WithScale(workloads.ScaleTiny), WithCache(dir))
 
 	// Full-model CPI baselines, shared by both specs.
-	fulls := make(map[string]*Result, len(names))
-	var mu sync.Mutex
-	err := r.runTasks(ctx, nil, nil, taskSet{
-		stage: StageMeasure,
-		n:     len(names),
-		id:    func(i int) taskID { return taskID{kind: "measure", workload: names[i], config: cfg.Name} },
-		do: func(ctx context.Context, i int) error {
-			w, err := workloads.Build(names[i], workloads.ScaleTiny)
-			if err != nil {
-				return err
-			}
-			res, err := r.RunFull(ctx, w, cfg)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			fulls[names[i]] = res
-			mu.Unlock()
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fulls := fullBaselines(t, r, names, cfg)
 
 	baseline := sampling.Spec{Features: sampling.FeaturesBBV}
 	candidate := sampling.Recommended()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
@@ -80,22 +79,18 @@ func TestPinnedCampaignFingerprints(t *testing.T) {
 // through the new Campaign API treats those tasks as resumed.
 func TestLegacyJournalResumes(t *testing.T) {
 	dir := t.TempDir()
-	legacy := []journalRecord{
-		{Ev: "sweep", ID: fpShaQsortMedium},
-		{Ev: "done", Task: "profile/sha", NS: 12345},
-		{Ev: "done", Task: "profile/qsort", NS: 23456},
-		{Ev: "done", Task: "measure/MediumBOOM/sha", NS: 34567},
+	legacy := []string{
+		`{"ev":"sweep","id":"` + fpShaQsortMedium + `"}`,
+		`{"ev":"done","task":"profile/sha","ns":12345}`,
+		`{"ev":"done","task":"profile/qsort","ns":23456}`,
+		`{"ev":"done","task":"measure/MediumBOOM/sha","ns":34567}`,
 	}
 	f, err := os.Create(JournalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range legacy {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(append(line, '\n')); err != nil {
+	for _, line := range legacy {
+		if _, err := f.WriteString(line + "\n"); err != nil {
 			t.Fatal(err)
 		}
 	}

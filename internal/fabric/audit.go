@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Result auditing: the coordinator's defense against a worker that
@@ -74,7 +76,7 @@ func Audited(campaignID, label string, frac float64) bool {
 	return float64(x>>11)/float64(1<<53) < frac
 }
 
-func hasVoted(cl *cell, worker string) bool {
+func hasVoted(cl *lease, worker string) bool {
 	for _, rep := range cl.reports {
 		if rep.worker == worker {
 			return true
@@ -83,14 +85,15 @@ func hasVoted(cl *cell, worker string) bool {
 	return false
 }
 
-// auditWantedLocked decides, at first-report time, whether to hold a
-// completed cell for audit: sampling says yes AND at least one live,
+// auditWantedLocked decides, at first-report time, whether to hold
+// completed cell i for audit: sampling says yes AND at least one live,
 // unquarantined worker other than the reporter exists to re-derive it.
-func (c *Coordinator) auditWantedLocked(r *run, cl *cell, reporter string, now time.Time) bool {
-	if c.cfg.AuditFrac <= 0 || cl.task.Kind != taskMeasure {
+func (c *Coordinator) auditWantedLocked(r *run, i int, reporter string, now time.Time) bool {
+	cell := r.g.Cell(i)
+	if c.cfg.AuditFrac <= 0 || cell.Kind != core.CellMeasure {
 		return false
 	}
-	if !Audited(r.id, cl.task.Label(), c.cfg.AuditFrac) {
+	if !Audited(r.id, cell.Label, c.cfg.AuditFrac) {
 		return false
 	}
 	for id, ws := range c.workers {
@@ -104,7 +107,7 @@ func (c *Coordinator) auditWantedLocked(r *run, cl *cell, reporter string, now t
 // anyEligibleAuditorLocked reports whether any live, unquarantined worker
 // that has not already voted on cl exists — i.e. whether the audit can
 // still make progress.
-func (c *Coordinator) anyEligibleAuditorLocked(cl *cell, now time.Time) bool {
+func (c *Coordinator) anyEligibleAuditorLocked(cl *lease, now time.Time) bool {
 	for id, ws := range c.workers {
 		if !ws.quarantined && now.Sub(ws.lastSeen) <= 3*c.cfg.Lease && !hasVoted(cl, id) {
 			return true
@@ -113,30 +116,29 @@ func (c *Coordinator) anyEligibleAuditorLocked(cl *cell, now time.Time) bool {
 	return false
 }
 
-// grantAuditLocked tries to lease an audit re-execution of cl to worker.
-// Returns nil without granting when the worker already voted (a worker
-// never audits its own derivation); if on top of that no eligible auditor
-// remains anywhere, or the grant budget is spent, the audit is abandoned
-// in place so the campaign cannot deadlock on verification.
-func (c *Coordinator) grantAuditLocked(r *run, cl *cell, worker string, now time.Time) *Task {
+// grantAuditLocked tries to lease an audit re-execution of cell i to
+// worker. Returns nil without granting when the worker already voted (a
+// worker never audits its own derivation); if on top of that no eligible
+// auditor remains anywhere, or the grant budget is spent, the audit is
+// abandoned in place so the campaign cannot deadlock on verification.
+func (c *Coordinator) grantAuditLocked(r *run, i int, worker string, now time.Time) *Task {
+	cl := &r.cells[i]
 	if cl.auditRounds >= maxAuditGrants {
-		c.abandonAuditLocked(r, cl, fmt.Sprintf("%d audit grant(s) spent without a majority", cl.auditRounds))
+		c.abandonAuditLocked(r, i, fmt.Sprintf("%d audit grant(s) spent without a majority", cl.auditRounds))
 		return nil
 	}
 	if hasVoted(cl, worker) {
 		if !c.anyEligibleAuditorLocked(cl, now) {
-			c.abandonAuditLocked(r, cl, "no eligible independent auditor")
+			c.abandonAuditLocked(r, i, "no eligible independent auditor")
 		}
 		return nil
 	}
 	cl.auditRounds++
 	c.seq++
-	cl.state = cellAuditLeased
-	cl.worker = worker
-	cl.deadline = now.Add(c.cfg.Lease)
-	cl.task.Seq = c.seq
-	t := cl.task
-	t.Fresh = true // the granted copy only: cl.task itself stays a normal cell identity
+	cl.audit = auditLeased
+	cl.worker, cl.deadline, cl.seq = worker, now.Add(c.cfg.Lease), c.seq
+	t := r.task(i)
+	t.Fresh = true // the granted copy only: the cell itself stays a normal cell identity
 	c.count("fabric.audit_grants")
 	return &t
 }
@@ -145,7 +147,9 @@ func (c *Coordinator) grantAuditLocked(r *run, cl *cell, worker string, now time
 // fingerprints finalize the cell; minority voters are quarantined first
 // (so their other results are requeued before this run can finish); a
 // tie returns the cell to the audit queue for a tie-break grant.
-func (c *Coordinator) resolveAuditLocked(r *run, cl *cell) {
+func (c *Coordinator) resolveAuditLocked(r *run, i int) {
+	cl := &r.cells[i]
+	label := r.g.Cell(i).Label
 	counts := map[[sha256.Size]byte]int{}
 	for _, rep := range cl.reports {
 		counts[rep.sum]++
@@ -159,7 +163,7 @@ func (c *Coordinator) resolveAuditLocked(r *run, cl *cell) {
 	}
 	if best < 2 {
 		// Every vote distinct: no verdict yet. Queue for a tie-break.
-		cl.state = cellAuditWait
+		cl.audit = auditWait
 		cl.worker = ""
 		return
 	}
@@ -168,7 +172,7 @@ func (c *Coordinator) resolveAuditLocked(r *run, cl *cell) {
 	} else {
 		c.count("fabric.audits_diverged")
 		c.logf("campaign %s: AUDIT DIVERGENCE on %s: %d fingerprint(s) across %d vote(s)",
-			short(r.id), cl.task.Label(), len(counts), len(cl.reports))
+			short(r.id), label, len(counts), len(cl.reports))
 	}
 	var win auditReport
 	for _, rep := range cl.reports {
@@ -182,17 +186,19 @@ func (c *Coordinator) resolveAuditLocked(r *run, cl *cell) {
 	for _, rep := range cl.reports {
 		if rep.sum != winner {
 			c.quarantineLocked(rep.worker,
-				fmt.Sprintf("result for %s diverged from the %d-vote majority", cl.task.Label(), best), cl)
+				fmt.Sprintf("result for %s diverged from the %d-vote majority", label, best), cl)
 		}
 	}
-	c.finishCellLocked(r, cl, win.worker, win.payload, true)
+	c.finishCellLocked(r, i, win.worker, win.payload, true)
 }
 
-// abandonAuditLocked gives up on verifying cl and accepts the original
+// abandonAuditLocked gives up on verifying cell i and accepts the original
 // report: a campaign must complete even when the cluster cannot assemble
 // a majority. The cell stays marked unaudited, so a later quarantine of
 // its producer still requeues it.
-func (c *Coordinator) abandonAuditLocked(r *run, cl *cell, reason string) {
+func (c *Coordinator) abandonAuditLocked(r *run, i int, reason string) {
+	cl := &r.cells[i]
+	label := r.g.Cell(i).Label
 	orig := cl.reports[0]
 	c.count("fabric.audits_abandoned")
 	if len(cl.reports) > 1 {
@@ -203,12 +209,12 @@ func (c *Coordinator) abandonAuditLocked(r *run, cl *cell, reason string) {
 		if len(sums) > 1 {
 			c.count("fabric.audits_diverged")
 			c.logf("campaign %s: UNRESOLVED AUDIT DIVERGENCE on %s (%s); accepting %s's original result",
-				short(r.id), cl.task.Label(), reason, orig.worker)
+				short(r.id), label, reason, orig.worker)
 		}
 	} else {
-		c.logf("campaign %s: abandoning audit of %s (%s)", short(r.id), cl.task.Label(), reason)
+		c.logf("campaign %s: abandoning audit of %s (%s)", short(r.id), label, reason)
 	}
-	c.finishCellLocked(r, cl, orig.worker, orig.payload, false)
+	c.finishCellLocked(r, i, orig.worker, orig.payload, false)
 }
 
 // quarantineLocked banishes a worker whose bytes lost an audit vote: no
@@ -216,7 +222,7 @@ func (c *Coordinator) abandonAuditLocked(r *run, cl *cell, reason string) {
 // it completed requeued as suspect — with the journal record revoked, so
 // a resume recomputes rather than trusts. except (the cell whose audit
 // convicted the worker) is being finalized by the caller and is skipped.
-func (c *Coordinator) quarantineLocked(worker, reason string, except *cell) {
+func (c *Coordinator) quarantineLocked(worker, reason string, except *lease) {
 	ws := c.workers[worker]
 	if ws == nil {
 		ws = &workerState{id: worker, lastSeen: time.Now()}
@@ -233,38 +239,28 @@ func (c *Coordinator) quarantineLocked(worker, reason string, except *cell) {
 		if r.finished {
 			continue
 		}
-		for _, label := range r.order {
-			cl := r.cells[label]
+		for i := range r.cells {
+			cl := &r.cells[i]
 			if cl == except {
 				continue
 			}
-			switch cl.state {
-			case cellLeased:
-				if cl.worker == worker {
-					cl.state = cellPending
-					cl.worker = ""
-					c.count("fabric.cells_requeued_suspect")
-				}
-			case cellAuditLeased:
-				if cl.worker == worker {
-					cl.state = cellAuditWait
-					cl.worker = ""
-					c.count("fabric.cells_stolen")
-				}
-			case cellDone:
-				if cl.doneBy == worker && !cl.audited && cl.task.Kind == taskMeasure {
-					cl.state = cellPending
-					cl.worker = ""
-					cl.doneBy = ""
-					cl.payload = nil
-					cl.reports = nil
-					cl.auditRounds = 0
-					r.remaining++
-					r.frag.revokeCell(label)
-					c.count("fabric.cells_requeued_suspect")
-					c.logf("campaign %s: requeuing suspect cell %s (completed by quarantined %s)",
-						short(r.id), label, worker)
-				}
+			cell := r.g.Cell(i)
+			switch st := r.g.State(i); {
+			case st == core.CellRunning && cl.audit == auditNone && cl.worker == worker:
+				r.g.Requeue(i)
+				cl.worker = ""
+				c.count("fabric.cells_requeued_suspect")
+			case cl.audit == auditLeased && cl.worker == worker:
+				cl.audit = auditWait
+				cl.worker = ""
+				c.count("fabric.cells_stolen")
+			case st == core.CellDone && cl.doneBy == worker && !cl.audited && cell.Kind == core.CellMeasure:
+				r.g.Requeue(i)
+				cl.worker, cl.doneBy, cl.reports, cl.auditRounds = "", "", nil, 0
+				r.jn.Revoke(cell.Label)
+				c.count("fabric.cells_requeued_suspect")
+				c.logf("campaign %s: requeuing suspect cell %s (completed by quarantined %s)",
+					short(r.id), cell.Label, worker)
 			}
 		}
 	}
@@ -274,14 +270,12 @@ func (c *Coordinator) quarantineLocked(worker, reason string, except *cell) {
 // producer, journals the payload, and closes the run when it was the
 // last. audited marks results that survived fingerprint verification —
 // unaudited ones remain revocable if their producer is later quarantined.
-func (c *Coordinator) finishCellLocked(r *run, cl *cell, worker string, payload []byte, audited bool) {
-	cl.state = cellDone
-	cl.worker = ""
-	cl.doneBy = worker
-	cl.audited = audited
-	cl.payload = payload
-	cl.reports = nil
-	r.remaining--
+func (c *Coordinator) finishCellLocked(r *run, i int, worker string, payload []byte, audited bool) {
+	cl := &r.cells[i]
+	cl.worker, cl.audit, cl.doneBy, cl.audited, cl.reports = "", auditNone, worker, audited, nil
+	cell := r.g.Cell(i)
+	cell.Payload = payload
+	r.g.Done(i)
 	c.count("fabric.cells_done")
 	if c.reg != nil {
 		c.reg.Counter("fabric.cells_done." + worker).Inc()
@@ -289,8 +283,8 @@ func (c *Coordinator) finishCellLocked(r *run, cl *cell, worker string, payload 
 	if ws := c.workers[worker]; ws != nil {
 		ws.cellsDone++
 	}
-	r.frag.appendCell(cl.task.Label(), payload)
-	if r.remaining == 0 {
+	r.jn.Done(cell.Label, payload)
+	if r.g.Finished() {
 		c.finishLocked(r)
 	}
 }

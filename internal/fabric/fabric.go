@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -47,6 +48,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 )
 
@@ -120,47 +122,49 @@ type workerState struct {
 	quarantined bool // audit divergence: granted nothing, trusted with nothing
 }
 
-type cellState int
+// auditPhase is where a completed, held result's audit stands.
+type auditPhase uint8
 
 const (
-	cellPending cellState = iota
-	cellLeased
-	cellDone
-	cellFailed
-	cellAuditWait   // completed but held: awaiting an audit re-execution grant
-	cellAuditLeased // audit re-execution in flight on another worker
+	auditNone   auditPhase = iota
+	auditWait              // completed but held: awaiting an audit re-execution grant
+	auditLeased            // audit re-execution in flight on another worker
 )
 
-// cell is one schedulable unit's authoritative state, guarded by
-// Coordinator.mu.
-type cell struct {
-	task     Task
-	state    cellState
+// lease is the coordinator's own state for one cell of a run's graph,
+// guarded by Coordinator.mu: the lease, its heartbeat deadline, failure
+// reports, and the audit of a completed result. The cell's lifecycle —
+// gating, cascade, resume, assembly — lives in the core.CellGraph; a
+// leased or audit-held cell is core.CellRunning there.
+type lease struct {
 	worker   string    // lease owner while leased
 	deadline time.Time // lease expiry while leased
+	seq      uint64    // grant sequence number; heartbeats echo it
 	attempts int       // failure reports consumed (steals don't count)
-	requires string    // gating cell label ("" = none)
-	payload  []byte    // canonical measure bytes once done
-	errMsg   string    // terminal failure message
 
+	audit       auditPhase
 	doneBy      string        // worker whose bytes were accepted
 	audited     bool          // payload survived fingerprint verification
 	auditRounds int           // audit grants consumed (bounded by maxAuditGrants)
-	reports     []auditReport // fingerprint votes while in audit states
+	reports     []auditReport // fingerprint votes while held for audit
 }
 
 // run is one campaign in flight.
 type run struct {
-	id        string
-	camp      core.Campaign
-	spec      []byte // campaignWire JSON served to workers
-	cells     map[string]*cell
-	order     []string // deterministic scheduling/assembly order
-	remaining int      // cells not yet terminal (done/failed)
-	frag      *fragmentWriter
-	failErr   error // first fatal error (fail-fast mode)
-	finished  bool
-	done      chan struct{}
+	id       string
+	camp     core.Campaign
+	spec     []byte // campaignWire JSON served to workers
+	g        *core.CellGraph
+	cells    []lease // indexed like g
+	jn       *journal.Writer
+	finished bool
+	done     chan struct{}
+}
+
+// task is the wire identity of cell i under its current lease.
+func (r *run) task(i int) Task {
+	c := r.g.Cell(i)
+	return Task{Campaign: r.id, Kind: c.Kind, Workload: c.Workload, Config: c.Config, Seq: r.cells[i].seq}
 }
 
 // NewCoordinator builds a coordinator and its HTTP routes.
@@ -257,7 +261,7 @@ func (c *Coordinator) RunCampaign(ctx context.Context, id string, camp core.Camp
 	}
 	defer c.retire(id)
 	c.logf("campaign %s: %d cell(s) across %d live worker(s)",
-		short(id), len(r.order), c.LiveWorkers())
+		short(id), r.g.Len(), c.LiveWorkers())
 	select {
 	case <-r.done:
 	case <-ctx.Done():
@@ -277,41 +281,18 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &run{
-		id:    id,
-		camp:  camp,
-		spec:  spec,
-		cells: map[string]*cell{},
-		done:  make(chan struct{}),
-	}
-	for _, wl := range camp.Workloads {
-		t := Task{Campaign: id, Kind: taskProfile, Workload: wl}
-		r.cells[t.Label()] = &cell{task: t}
-		r.order = append(r.order, t.Label())
-	}
-	for _, cfg := range camp.Configs {
-		for _, wl := range camp.Workloads {
-			t := Task{Campaign: id, Kind: taskMeasure, Workload: wl, Config: cfg.Name}
-			r.cells[t.Label()] = &cell{task: t, requires: taskProfile + "/" + wl}
-			r.order = append(r.order, t.Label())
-		}
-	}
-	r.remaining = len(r.order)
+	r := &run{id: id, camp: camp, spec: spec, g: core.NewCellGraph(camp), done: make(chan struct{})}
+	r.cells = make([]lease, r.g.Len())
 
 	resumed := 0
 	if c.cfg.Resume && c.cfg.JournalDir != "" {
-		for label, payload := range MergeJournals(id, FragmentPath(c.cfg.JournalDir, id)) {
-			cl := r.cells[label]
-			if cl == nil || cl.state != cellPending {
-				continue
+		r.g.Resume(id, FragmentPath(c.cfg.JournalDir, id))
+		for i := 0; i < r.g.Len(); i++ {
+			// A measure cell without its payload is not done.
+			if cl := r.g.Cell(i); cl.Resumed && (cl.Kind == core.CellProfile || len(cl.Payload) > 0) {
+				r.g.Done(i)
+				resumed++
 			}
-			if cl.task.Kind == taskMeasure && len(payload) == 0 {
-				continue // a measure cell without its payload is not done
-			}
-			cl.state = cellDone
-			cl.payload = payload
-			r.remaining--
-			resumed++
 		}
 		if resumed > 0 {
 			if c.reg != nil {
@@ -321,18 +302,19 @@ func (c *Coordinator) admit(id string, camp core.Campaign) (*run, error) {
 		}
 	}
 	if c.cfg.JournalDir != "" {
-		r.frag = openFragment(FragmentPath(c.cfg.JournalDir, id), id, resumed > 0, c.cfg.Log)
+		r.jn = journal.Open(FragmentPath(c.cfg.JournalDir, id), id, resumed > 0,
+			c.reg.Counter("fabric.journal_write_errors"), c.cfg.Log)
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.runs[id] != nil {
-		r.frag.Close()
+		r.jn.Close()
 		return nil, fmt.Errorf("fabric: campaign %s already running", short(id))
 	}
 	c.runs[id] = r
 	c.runOrder = append(c.runOrder, id)
-	if r.remaining == 0 {
+	if r.g.Finished() {
 		c.finishLocked(r)
 	}
 	return r, nil
@@ -353,7 +335,7 @@ func (c *Coordinator) retire(id string) {
 	}
 	c.mu.Unlock()
 	if r != nil {
-		r.frag.Close()
+		r.jn.Close()
 	}
 }
 
@@ -361,8 +343,7 @@ func (c *Coordinator) retire(id string) {
 // lease. Expired leases across every run are reclaimed first, so a
 // stalled worker's cells become grantable the moment anyone polls.
 // Quarantined workers are granted nothing; cells held for audit are
-// granted — as Fresh re-executions — ahead of pending work, since they
-// gate campaign completion.
+// granted — as Fresh re-executions — in graph order with pending work.
 func (c *Coordinator) nextTask(worker string) *Task {
 	now := time.Now()
 	c.mu.Lock()
@@ -376,37 +357,22 @@ func (c *Coordinator) nextTask(worker string) *Task {
 		if r.finished {
 			continue
 		}
-		for _, label := range r.order {
-			cl := r.cells[label]
-			switch cl.state {
-			case cellAuditWait:
-				if t := c.grantAuditLocked(r, cl, worker, now); t != nil {
+		for i := range r.cells {
+			if r.cells[i].audit == auditWait {
+				if t := c.grantAuditLocked(r, i, worker, now); t != nil {
 					return t
 				}
 				continue
-			case cellPending:
-				// fall through to the normal grant below
-			default:
+			}
+			if !r.g.Ready(i) {
 				continue
 			}
-			if cl.requires != "" {
-				switch req := r.cells[cl.requires]; req.state {
-				case cellDone:
-					// runnable
-				case cellFailed:
-					c.failCellLocked(r, cl, fmt.Sprintf("dependency %s failed", cl.requires))
-					continue
-				default:
-					continue // profile still pending or in flight
-				}
-			}
 			c.seq++
-			cl.state = cellLeased
-			cl.worker = worker
-			cl.deadline = now.Add(c.cfg.Lease)
-			cl.task.Seq = c.seq
-			t := cl.task
+			r.g.Claim(i)
+			cl := &r.cells[i]
+			cl.worker, cl.deadline, cl.seq = worker, now.Add(c.cfg.Lease), c.seq
 			c.count("fabric.cells_leased")
+			t := r.task(i)
 			return &t
 		}
 	}
@@ -422,56 +388,37 @@ func (c *Coordinator) expireLeasesLocked(now time.Time) {
 		if r.finished {
 			continue
 		}
-		for _, label := range r.order {
-			cl := r.cells[label]
-			switch cl.state {
-			case cellLeased:
-				if now.After(cl.deadline) {
-					c.logf("campaign %s: stealing %s from silent worker %s",
-						short(r.id), label, cl.worker)
-					cl.state = cellPending
-					cl.worker = ""
-					c.count("fabric.cells_stolen")
-				}
-			case cellAuditLeased:
-				if now.After(cl.deadline) {
-					c.logf("campaign %s: stealing audit of %s from silent worker %s",
-						short(r.id), label, cl.worker)
-					cl.state = cellAuditWait
-					cl.worker = ""
-					c.count("fabric.cells_stolen")
-				}
+		for i := range r.cells {
+			cl := &r.cells[i]
+			if r.g.State(i) != core.CellRunning || cl.audit == auditWait || !now.After(cl.deadline) {
+				continue
 			}
+			label := r.g.Cell(i).Label
+			if cl.audit == auditLeased {
+				c.logf("campaign %s: stealing audit of %s from silent worker %s", short(r.id), label, cl.worker)
+				cl.audit = auditWait
+			} else {
+				c.logf("campaign %s: stealing %s from silent worker %s", short(r.id), label, cl.worker)
+				r.g.Requeue(i)
+			}
+			cl.worker = ""
+			c.count("fabric.cells_stolen")
 		}
 	}
 }
 
-// failCellLocked marks a cell terminally failed and cascades to pending
-// dependents (a measure cell can never run without its profile).
-func (c *Coordinator) failCellLocked(r *run, cl *cell, msg string) {
-	cl.state = cellFailed
-	cl.errMsg = msg
+// failCellLocked marks a cell terminally failed; the graph cascades the
+// failure to pending dependents (a measure cell can never run without its
+// profile). Fail-fast campaigns finish on the first failure.
+func (c *Coordinator) failCellLocked(r *run, i int, msg string) {
+	cl := &r.cells[i]
 	cl.worker = ""
-	r.remaining--
-	c.count("fabric.cells_failed")
-	if cl.task.Kind == taskProfile {
-		for _, label := range r.order {
-			dep := r.cells[label]
-			if dep.state == cellPending && dep.requires == cl.task.Label() {
-				dep.state = cellFailed
-				dep.errMsg = fmt.Sprintf("dependency %s failed", cl.task.Label())
-				r.remaining--
-				c.count("fabric.cells_failed")
-			}
-		}
+	cascaded := r.g.Fail(i, fmt.Errorf("fabric: cell %s failed after %d attempt(s): %s",
+		r.g.Cell(i).Label, cl.attempts, msg))
+	if c.reg != nil {
+		c.reg.Counter("fabric.cells_failed").Add(int64(1 + len(cascaded)))
 	}
-	if !c.cfg.KeepGoing && r.failErr == nil {
-		r.failErr = fmt.Errorf("fabric: cell %s failed after %d attempt(s): %s",
-			cl.task.Label(), cl.attempts, msg)
-		c.finishLocked(r)
-		return
-	}
-	if r.remaining == 0 {
+	if !c.cfg.KeepGoing || r.g.Finished() {
 		c.finishLocked(r)
 	}
 }
@@ -491,47 +438,27 @@ func (c *Coordinator) finishLocked(r *run) {
 func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw := &core.Sweep{
-		Flow:        core.FlowConfigFor(r.camp.Scale),
-		Scale:       r.camp.Scale,
-		Sampling:    r.camp.Sampling,
-		Names:       append([]string(nil), r.camp.Workloads...),
-		ConfigNames: r.camp.ConfigNames(),
-		Profiles:    map[string]*core.Profile{},
-		Results:     map[string]map[string]*core.Result{},
-	}
-	for _, name := range sw.ConfigNames {
-		sw.Results[name] = map[string]*core.Result{}
-	}
-	var errs []error
-	for _, label := range r.order {
-		cl := r.cells[label]
-		switch cl.state {
-		case cellDone:
-			if cl.task.Kind != taskMeasure {
-				continue
-			}
-			res := &core.Result{
-				Workload:   cl.task.Workload,
-				ConfigName: cl.task.Config,
-				Mode:       "simpoint",
-			}
-			if err := core.DecodeMeasuredResult(cl.payload, res); err != nil {
-				errs = append(errs, fmt.Errorf("fabric: decoding %s: %w", label, err))
-				continue
-			}
-			sw.Results[cl.task.Config][cl.task.Workload] = res
-		case cellFailed:
-			errs = append(errs, fmt.Errorf("fabric: cell %s: %s", label, cl.errMsg))
-		}
-	}
-	if r.failErr != nil && !c.cfg.KeepGoing {
-		return nil, r.failErr
-	}
-	if len(errs) > 0 {
-		return sw, &core.SweepErrors{Errs: errs}
-	}
-	return sw, nil
+	return r.g.Sweep(core.FlowConfigFor(r.camp.Scale), r.camp.Sampling, c.cfg.KeepGoing)
+}
+
+// FragmentPath returns the journal fragment location for one campaign
+// under a node's cache/journal directory. Every node — the coordinator as
+// cells are reported done, each worker as it finishes cells locally —
+// journals completed cells (internal/journal) to its own fragment.
+func FragmentPath(dir, campaignID string) string {
+	return filepath.Join(dir, "fabric-"+short(campaignID)+".journal")
+}
+
+// MergeJournals is the fabric's recovery path: a restarted coordinator (or
+// an operator gathering fragments off dead workers' disks) merges any
+// number of fragments into the union of completed cells for campaign
+// wantID, keyed by cell label. Measure cells map to their canonical
+// payload bytes, profile cells to nil (use the comma-ok form to tell
+// "done profile" from "absent"). Foreign fragments are ignored whole;
+// missing files and torn lines are skipped; on a duplicate label the
+// first occurrence — in path order, then file order — wins silently.
+func MergeJournals(wantID string, paths ...string) map[string][]byte {
+	return journal.Read(wantID, paths...).Cells
 }
 
 // short abbreviates a campaign fingerprint for log lines.

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/core"
 )
 
 // The coordinator's HTTP surface. Four worker-facing POST endpoints
@@ -138,15 +140,15 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 		c.writeJSON(w, heartbeatResponse{Lost: true})
 		return
 	}
-	cl := r.cells[body.Task.Label()]
-	leased := cl != nil && (cl.state == cellLeased || cl.state == cellAuditLeased)
-	if !leased || cl.worker != body.Worker || cl.task.Seq != body.Task.Seq {
+	i := r.g.Lookup(body.Task.Label())
+	if i < 0 || r.g.State(i) != core.CellRunning || r.cells[i].audit == auditWait ||
+		r.cells[i].worker != body.Worker || r.cells[i].seq != body.Task.Seq {
 		// Stolen and possibly regranted under a newer Seq — or already
 		// reported. Either way this worker's lease is gone.
 		c.writeJSON(w, heartbeatResponse{Lost: true})
 		return
 	}
-	cl.deadline = now.Add(c.cfg.Lease)
+	r.cells[i].deadline = now.Add(c.cfg.Lease)
 	c.writeJSON(w, heartbeatResponse{})
 }
 
@@ -167,12 +169,13 @@ func (c *Coordinator) handleDone(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	label := body.Task.Label()
-	cl := r.cells[label]
-	if cl == nil {
+	i := r.g.Lookup(label)
+	if i < 0 {
 		c.httpError(w, http.StatusBadRequest, "unknown cell "+label)
 		return
 	}
-	if cl.state == cellDone || cl.state == cellFailed {
+	cl := &r.cells[i]
+	if st := r.g.State(i); st == core.CellDone || st == core.CellFailed {
 		// Duplicate report — the slow half of a stolen cell arriving after
 		// the fast half. First fingerprint wins, silently; determinism
 		// makes the two byte-identical.
@@ -189,13 +192,13 @@ func (c *Coordinator) handleDone(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if !body.OK {
-		if cl.state == cellAuditWait || cl.state == cellAuditLeased {
+		if cl.audit != auditNone {
 			// An audit re-execution failed (chaos, OOM, a flaky node). The
 			// original result still stands; return the cell to the audit
 			// queue — grantAuditLocked's round budget bounds how long the
 			// campaign keeps trying before abandoning verification.
-			if cl.state == cellAuditLeased && cl.worker == body.Worker {
-				cl.state = cellAuditWait
+			if cl.audit == auditLeased && cl.worker == body.Worker {
+				cl.audit = auditWait
 				cl.worker = ""
 			}
 			c.count("fabric.audit_errors")
@@ -208,17 +211,17 @@ func (c *Coordinator) handleDone(w http.ResponseWriter, req *http.Request) {
 		c.logf("campaign %s: %s failed on %s (attempt %d/%d): %s",
 			short(r.id), label, body.Worker, cl.attempts, c.cfg.MaxAttempts, body.Error)
 		if cl.attempts < c.cfg.MaxAttempts {
-			cl.state = cellPending
+			r.g.Requeue(i)
 			cl.worker = ""
 			c.count("fabric.cells_requeued")
 		} else {
-			c.failCellLocked(r, cl, body.Error)
+			c.failCellLocked(r, i, body.Error)
 		}
 		c.writeJSON(w, doneResponse{OK: true})
 		return
 	}
 	sum := sha256.Sum256(body.Payload)
-	if cl.state == cellAuditWait || cl.state == cellAuditLeased {
+	if cl.audit != auditNone {
 		// An audit vote. Fresh derivations only — a non-Fresh report here
 		// is the slow half of a stolen original, which may have read the
 		// first worker's artifact from the shared store and so proves
@@ -229,20 +232,21 @@ func (c *Coordinator) handleDone(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		cl.reports = append(cl.reports, auditReport{worker: body.Worker, sum: sum, payload: body.Payload})
-		c.resolveAuditLocked(r, cl)
+		c.resolveAuditLocked(r, i)
 		c.writeJSON(w, doneResponse{OK: true})
 		return
 	}
 	// First completion of a normal cell: either hold it for audit or
 	// finalize it outright.
-	if c.auditWantedLocked(r, cl, body.Worker, time.Now()) {
-		cl.state = cellAuditWait
+	if c.auditWantedLocked(r, i, body.Worker, time.Now()) {
+		r.g.Claim(i) // held, not pending: a stolen cell reported late is not regranted
+		cl.audit = auditWait
 		cl.worker = ""
 		cl.reports = []auditReport{{worker: body.Worker, sum: sum, payload: body.Payload}}
 		c.count("fabric.cells_audited")
 		c.logf("campaign %s: holding %s for audit (reported by %s)", short(r.id), label, body.Worker)
 	} else {
-		c.finishCellLocked(r, cl, body.Worker, body.Payload, false)
+		c.finishCellLocked(r, i, body.Worker, body.Payload, false)
 	}
 	c.writeJSON(w, doneResponse{OK: true})
 }
@@ -268,18 +272,18 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, req *http.Request) {
 	for _, rid := range c.runOrder {
 		r := c.runs[rid]
 		cs := CampaignStatus{ID: r.id}
-		for _, label := range r.order {
-			switch r.cells[label].state {
-			case cellPending:
-				cs.Pending++
-			case cellLeased:
-				cs.Leased++
-			case cellDone:
-				cs.Done++
-			case cellFailed:
-				cs.Failed++
-			case cellAuditWait, cellAuditLeased:
+		for i := range r.cells {
+			switch st := r.g.State(i); {
+			case r.cells[i].audit != auditNone:
 				cs.Auditing++
+			case st == core.CellPending:
+				cs.Pending++
+			case st == core.CellRunning:
+				cs.Leased++
+			case st == core.CellDone:
+				cs.Done++
+			case st == core.CellFailed:
+				cs.Failed++
 			}
 		}
 		reply.Campaigns = append(reply.Campaigns, cs)

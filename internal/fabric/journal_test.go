@@ -4,18 +4,21 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/journal"
 )
 
-// writeFragment builds a fragment file through the production writer.
+// writeFragment builds a fragment file through the production writer
+// (internal/journal, shared with the single-node sweep journal).
 func writeFragment(t *testing.T, dir, name, campaignID string, cells map[string][]byte, order []string) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
-	w := openFragment(path, campaignID, false, t.Logf)
+	w := journal.Open(path, campaignID, false, nil, t.Logf)
 	if w == nil {
-		t.Fatal("openFragment failed")
+		t.Fatal("journal.Open failed")
 	}
 	for _, label := range order {
-		w.appendCell(label, cells[label])
+		w.Done(label, cells[label])
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -138,9 +141,9 @@ func TestMergeForeignFragment(t *testing.T) {
 func TestFragmentExtendRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := FragmentPath(dir, "0123456789abcdef0123")
-	w := openFragment(path, "0123456789abcdef0123", false, t.Logf)
-	w.appendCell("profile/sha", nil)
-	w.appendCell("measure/medium/sha", []byte("gen-1"))
+	w := journal.Open(path, "0123456789abcdef0123", false, nil, t.Logf)
+	w.Done("profile/sha", nil)
+	w.Done("measure/medium/sha", []byte("gen-1"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +153,8 @@ func TestFragmentExtendRoundTrip(t *testing.T) {
 		t.Fatalf("first recovery %v", got)
 	}
 
-	w = openFragment(path, "0123456789abcdef0123", true, t.Logf)
-	w.appendCell("measure/mega/sha", []byte("gen-2"))
+	w = journal.Open(path, "0123456789abcdef0123", true, nil, t.Logf)
+	w.Done("measure/mega/sha", []byte("gen-2"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +166,8 @@ func TestFragmentExtendRoundTrip(t *testing.T) {
 
 	// Truncate mode (a fresh campaign admission without resume) discards
 	// the old generations.
-	w = openFragment(path, "0123456789abcdef0123", false, t.Logf)
-	w.appendCell("profile/fft", nil)
+	w = journal.Open(path, "0123456789abcdef0123", false, nil, t.Logf)
+	w.Done("profile/fft", nil)
 	w.Close()
 	got = MergeJournals("0123456789abcdef0123", path)
 	if len(got) != 1 {
@@ -174,8 +177,8 @@ func TestFragmentExtendRoundTrip(t *testing.T) {
 
 // TestNilFragmentWriter: a nil writer (journaling disabled) is inert.
 func TestNilFragmentWriter(t *testing.T) {
-	var w *fragmentWriter
-	w.appendCell("measure/medium/sha", []byte("x"))
+	var w *journal.Writer
+	w.Done("measure/medium/sha", []byte("x"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

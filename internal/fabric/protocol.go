@@ -7,23 +7,17 @@ import (
 	"repro/internal/workloads"
 )
 
-// Task kinds. A campaign shards into one profile cell per workload (the
-// config-independent BBV→select→checkpoint chain) and one measure cell
-// per (workload, config) pair; measure cells are gated on their
-// workload's profile cell so the expensive chain runs once per workload
-// across the whole cluster, not once per design point.
-const (
-	taskProfile = "profile"
-	taskMeasure = "measure"
-)
-
-// Task is one schedulable cell of a distributed campaign. Seq is the
+// Task is one leased cell of a distributed campaign: a node of the
+// campaign's core.CellGraph — one profile cell per workload (the
+// config-independent BBV→select→checkpoint chain) gating one measure cell
+// per (workload, config) pair, so the expensive chain runs once per
+// workload across the whole cluster, not once per design point. Seq is the
 // lease sequence number the coordinator stamps on each grant; heartbeats
 // echo it so a renewal for a stolen-and-regranted cell is recognizable
 // as stale.
 type Task struct {
 	Campaign string `json:"campaign"`
-	Kind     string `json:"kind"` // taskProfile | taskMeasure
+	Kind     string `json:"kind"` // core.CellProfile | core.CellMeasure
 	Workload string `json:"workload"`
 	Config   string `json:"config,omitempty"` // measure cells only
 	Seq      uint64 `json:"seq"`
@@ -34,15 +28,8 @@ type Task struct {
 	Fresh bool `json:"fresh,omitempty"`
 }
 
-// Label names the cell the way the sweep journal names tasks
-// ("profile/<wl>", "measure/<cfg>/<wl>"), so fabric journal fragments and
-// single-node journals speak the same identity language.
-func (t Task) Label() string {
-	if t.Kind == taskProfile {
-		return t.Kind + "/" + t.Workload
-	}
-	return t.Kind + "/" + t.Config + "/" + t.Workload
-}
+// Label names the cell the way core.CellGraph does (core.CellLabel).
+func (t Task) Label() string { return core.CellLabel(t.Kind, t.Config, t.Workload) }
 
 // Wire bodies for the coordinator's POST endpoints.
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
@@ -85,7 +86,7 @@ type Worker struct {
 	runners      map[string]*core.Runner    // per-campaign, keyed by fingerprint
 	auditRunners map[string]*core.Runner    // per-campaign Fresh (storeless) runners
 	camps        map[string]core.Campaign   // decoded campaign specs, same keys
-	frags        map[string]*fragmentWriter // per-campaign journal fragments
+	frags        map[string]*journal.Writer // per-campaign journal fragments
 }
 
 // NewWorker validates the config and fills defaults.
@@ -329,7 +330,7 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 		return // shutdown mid-cell: don't report, let the lease expire
 	}
 
-	if err == nil && t.Kind == taskMeasure {
+	if err == nil && t.Kind == core.CellMeasure {
 		// Chaos site "fabric.payload/<id>": a worker that computes
 		// correctly but reports corrupted bytes — bit flips applied to the
 		// canonical payload before it is journaled or reported, so the
@@ -343,7 +344,7 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 		// MergeJournals it into the coordinator's — the cell's canonical
 		// bytes are not lost with the report. Audit re-executions are
 		// deliberately not journaled: their product is a vote, not a cell.
-		w.fragmentFor(t.Campaign).appendCell(t.Label(), payload)
+		w.fragmentFor(t.Campaign).Done(t.Label(), payload)
 	}
 	done := doneRequest{Worker: w.cfg.ID, Task: t, OK: err == nil, Payload: payload}
 	if err != nil {
@@ -368,15 +369,12 @@ func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error
 			err = fmt.Errorf("fabric: panic in %s: %v", t.Label(), rec)
 		}
 	}()
-	r, camp, err := w.runner(ctx, t.Campaign)
-	if t.Fresh {
-		// Audit re-execution: derive the result independently. The fresh
-		// runner has its own cache directory and no remote store tier, so
-		// nothing computed by the worker under audit can leak into this
-		// derivation — agreement means agreement of computations, not of
-		// caches.
-		r, camp, err = w.auditRunner(ctx, t.Campaign)
-	}
+	// An audit re-execution (Fresh) derives the result independently: the
+	// fresh runner has its own cache directory and no remote store tier, so
+	// nothing computed by the worker under audit can leak into this
+	// derivation — agreement means agreement of computations, not of
+	// caches.
+	r, camp, err := w.runner(ctx, t.Campaign, t.Fresh)
 	if err != nil {
 		return nil, err
 	}
@@ -385,14 +383,14 @@ func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error
 		return nil, err
 	}
 	switch t.Kind {
-	case taskProfile:
+	case core.CellProfile:
 		// The product is the artifact chain itself: Profile fills the local
 		// cache and — via the synchronous write-through in artifact.Cache —
 		// the cluster store, so every other worker's measure cells fetch
 		// this chain instead of recomputing it.
 		_, err := r.Profile(ctx, wl)
 		return nil, err
-	case taskMeasure:
+	case core.CellMeasure:
 		for i := range camp.Configs {
 			if camp.Configs[i].Name == t.Config {
 				p, perr := r.Profile(ctx, wl) // cache/store hit: the gated profile cell ran first
@@ -412,89 +410,49 @@ func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error
 	}
 }
 
-// parOpts translates the worker's parallelism knobs into engine options,
-// shared by the normal and audit runners so both shapes of execution —
-// store-backed cells and storeless audit re-executions — spread a cell's
-// simulation points across the same budget.
-func (w *Worker) parOpts() []core.Option {
-	var opts []core.Option
+// runner returns (building on first use) the per-campaign Runner: the
+// campaign spec is fetched from the coordinator and the Runner assembled
+// exactly as a single node would, plus the remote store tier when the
+// coordinator serves one. With fresh it returns the campaign's audit
+// runner instead: same campaign, same flow, but a private cache directory
+// and no remote store, so every audited cell is recomputed from scratch on
+// this node.
+func (w *Worker) runner(ctx context.Context, campaignID string, fresh bool) (*core.Runner, core.Campaign, error) {
+	camp, err := w.fetchCampaign(ctx, campaignID)
+	if err != nil {
+		return nil, core.Campaign{}, err
+	}
+	runners := w.runners
+	if fresh {
+		runners = w.auditRunners
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if r := runners[campaignID]; r != nil {
+		return r, camp, nil
+	}
+	cacheDir := w.cfg.CacheDir
+	if fresh {
+		cacheDir = filepath.Join(cacheDir, "audit-fresh")
+	}
+	opts := []core.Option{
+		core.WithScale(camp.Scale),
+		core.WithSampling(camp.Sampling),
+		core.WithCache(cacheDir),
+		core.WithMetrics(w.cfg.Registry),
+		core.WithFaultInjector(w.cfg.Injector),
+	}
+	if w.store && !fresh {
+		opts = append(opts, core.WithRemoteStore(artifact.NewRemote(w.base, w.hc)))
+	}
 	if w.cfg.Parallelism > 0 {
 		opts = append(opts, core.WithParallelism(w.cfg.Parallelism))
 	}
 	if w.cfg.PointParallelism > 0 {
 		opts = append(opts, core.WithPointParallelism(w.cfg.PointParallelism))
 	}
-	return opts
-}
-
-// runner returns (building on first use) the per-campaign Runner: the
-// campaign spec is fetched from the coordinator and the Runner assembled
-// exactly as a single node would, plus the remote store tier when the
-// coordinator serves one.
-func (w *Worker) runner(ctx context.Context, campaignID string) (*core.Runner, core.Campaign, error) {
-	w.mu.Lock()
-	r := w.runners[campaignID]
-	w.mu.Unlock()
-	if r != nil {
-		camp, err := w.fetchCampaign(ctx, campaignID)
-		return r, camp, err
-	}
-	camp, err := w.fetchCampaign(ctx, campaignID)
-	if err != nil {
-		return nil, core.Campaign{}, err
-	}
-	opts := []core.Option{
-		core.WithScale(camp.Scale),
-		core.WithSampling(camp.Sampling),
-		core.WithCache(w.cfg.CacheDir),
-		core.WithMetrics(w.cfg.Registry),
-		core.WithFaultInjector(w.cfg.Injector),
-	}
-	opts = append(opts, w.parOpts()...)
-	if w.store {
-		opts = append(opts, core.WithRemoteStore(artifact.NewRemote(w.base, w.hc)))
-	}
-	r = core.New(core.FlowConfigFor(camp.Scale), opts...)
-	w.mu.Lock()
-	if have := w.runners[campaignID]; have != nil {
-		r = have
-	} else {
-		w.runners[campaignID] = r
-	}
-	w.mu.Unlock()
-	return r, camp, nil
-}
-
-// auditRunner returns (building on first use) the per-campaign Fresh
-// runner used for audit re-executions: same campaign, same flow, but a
-// private cache directory and no remote store, so every audited cell is
-// recomputed from scratch on this node.
-func (w *Worker) auditRunner(ctx context.Context, campaignID string) (*core.Runner, core.Campaign, error) {
-	w.mu.Lock()
-	r := w.auditRunners[campaignID]
-	w.mu.Unlock()
-	if r != nil {
-		camp, err := w.fetchCampaign(ctx, campaignID)
-		return r, camp, err
-	}
-	camp, err := w.fetchCampaign(ctx, campaignID)
-	if err != nil {
-		return nil, core.Campaign{}, err
-	}
-	r = core.New(core.FlowConfigFor(camp.Scale), append([]core.Option{
-		core.WithScale(camp.Scale),
-		core.WithSampling(camp.Sampling),
-		core.WithCache(filepath.Join(w.cfg.CacheDir, "audit-fresh")),
-		core.WithMetrics(w.cfg.Registry),
-		core.WithFaultInjector(w.cfg.Injector),
-	}, w.parOpts()...)...)
-	w.mu.Lock()
-	if have := w.auditRunners[campaignID]; have != nil {
-		r = have
-	} else {
-		w.auditRunners[campaignID] = r
-	}
-	w.mu.Unlock()
+	r := core.New(core.FlowConfigFor(camp.Scale), opts...)
+	runners[campaignID] = r
 	return r, camp, nil
 }
 
@@ -541,18 +499,19 @@ func (w *Worker) fetchCampaign(ctx context.Context, id string) (core.Campaign, e
 // fragment for one campaign, under the worker's cache directory. An
 // existing fragment is extended — its header already names this campaign
 // because FragmentPath is campaign-scoped.
-func (w *Worker) fragmentFor(campaignID string) *fragmentWriter {
+func (w *Worker) fragmentFor(campaignID string) *journal.Writer {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.frags == nil {
-		w.frags = map[string]*fragmentWriter{}
+		w.frags = map[string]*journal.Writer{}
 	}
 	if f, ok := w.frags[campaignID]; ok {
 		return f
 	}
 	path := FragmentPath(w.cfg.CacheDir, campaignID)
 	_, statErr := os.Stat(path)
-	f := openFragment(path, campaignID, statErr == nil, w.cfg.Log)
+	f := journal.Open(path, campaignID, statErr == nil,
+		w.cfg.Registry.Counter("fabric.journal_write_errors"), w.cfg.Log)
 	w.frags[campaignID] = f // nil (disabled) is cached too: stays inert
 	return f
 }

@@ -264,7 +264,7 @@ func (r *Registry) Span(name string) *Span {
 	r.mu.Lock()
 	s := r.spans[name]
 	if s == nil {
-		s = &Span{name: name, now: r.now}
+		s = newSpan(name, r.now)
 		r.spans[name] = s
 		r.spanList = append(r.spanList, s)
 	}

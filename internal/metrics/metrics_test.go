@@ -165,6 +165,83 @@ func TestSpanOverlappingLaps(t *testing.T) {
 	}
 }
 
+// TestSpanSiblingExclusive: sibling stages running at the same instant
+// (parallel points in warm-up and measure) split that instant evenly, so
+// the children sum to at most the parent at any parallelism; each child's
+// own-lap wall clock stays available as BusyNS.
+func TestSpanSiblingExclusive(t *testing.T) {
+	var now int64
+	reg := NewRegistryWithClock(func() int64 { return now })
+	flow := reg.Span("flow")
+	a, b := flow.Child("warmup"), flow.Child("measure")
+	flow.Start() // t=0
+	a.Start()    // t=0: a alone
+	now = 5
+	a.Start() // a's second, overlapping lap: still one participant
+	now = 10
+	b.Start() // t=10: a and b share
+	now = 20
+	a.End()
+	now = 30
+	a.End() // t=30: b alone
+	now = 40
+	b.End()
+	now = 50
+	flow.End()
+
+	if d := flow.DurationNS(); d != 50 {
+		t.Errorf("flow %d, want 50", d)
+	}
+	// a: 10 alone + 20/2 shared; b: 20/2 shared + 10 alone.
+	for _, tc := range []struct {
+		s          *Span
+		excl, busy int64
+	}{{a, 20, 30}, {b, 20, 30}} {
+		if d := tc.s.DurationNS(); d != tc.excl {
+			t.Errorf("%s exclusive %d, want %d", tc.s.Name(), d, tc.excl)
+		}
+		if d := tc.s.BusyNS(); d != tc.busy {
+			t.Errorf("%s busy %d, want %d", tc.s.Name(), d, tc.busy)
+		}
+	}
+	if a.Laps() != 1 {
+		t.Errorf("overlapping laps of one span must merge: %d laps", a.Laps())
+	}
+	snap := flow.Snapshot()
+	var sum int64
+	for _, c := range snap.Children {
+		sum += c.NS
+		if c.BusyNS != 30 {
+			t.Errorf("%s snapshot busy_ns %d, want 30", c.Name, c.BusyNS)
+		}
+	}
+	if sum != 40 || sum > snap.NS {
+		t.Errorf("children sum %d, want 40 (≤ flow %d)", sum, snap.NS)
+	}
+
+	// Three siblings over an indivisible stretch: the remainder is handed
+	// out so the shares still sum exactly to the elapsed time.
+	now = 0
+	root := NewRegistryWithClock(func() int64 { return now }).Span("r")
+	kids := []*Span{root.Child("x"), root.Child("y"), root.Child("z")}
+	root.Start()
+	for _, k := range kids {
+		k.Start()
+	}
+	now = 10
+	for _, k := range kids {
+		k.End()
+	}
+	root.End()
+	var total int64
+	for _, k := range kids {
+		total += k.DurationNS()
+	}
+	if total != 10 {
+		t.Errorf("three-way split sums to %d, want 10", total)
+	}
+}
+
 func TestSpanConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	s := reg.Span("flow")
