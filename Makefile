@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race cpu-matrix smoke fuzz-smoke cache-roundtrip chaos resume-roundtrip serve-smoke dse-smoke fabric-smoke fabric-chaos bench bench-smoke bench-measure fidelity check
+.PHONY: build test vet race cpu-matrix smoke fuzz-smoke cache-roundtrip chaos resume-roundtrip serve-smoke dse-smoke fabric-smoke fabric-chaos bench bench-smoke bench-measure fidelity loc check
 
 build:
 	$(GO) build ./...
@@ -267,5 +267,10 @@ bench-measure:
 # must strictly improve. Prints the per-workload delta table.
 fidelity:
 	BOOM_FIDELITY=1 $(GO) test -run TestFidelityGate -count=1 -v ./internal/core
+
+# Non-test Go LOC outside perfbench/: the size figure tracked per change
+# (falling LOC with unchanged digests is progress). Not part of check.
+loc:
+	find . -name '*.go' -not -path './perfbench/*' -not -name '*_test.go' | xargs wc -l | tail -n 1
 
 check: vet race cpu-matrix smoke fuzz-smoke bench-smoke bench-measure fidelity cache-roundtrip chaos resume-roundtrip serve-smoke dse-smoke fabric-smoke fabric-chaos

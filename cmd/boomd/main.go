@@ -39,6 +39,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -70,6 +71,9 @@ func run(args []string) error {
 	lease := fs.Duration("lease", 15*time.Second, "fabric cell lease; a worker silent this long has its cells stolen")
 	audit := fs.Float64("audit", 0, "fraction of completed measure cells re-executed on another worker for fingerprint verification (0 = off, 1 = every cell); divergent workers are quarantined")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkModeFlags(fs, *workerMode); err != nil {
 		return err
 	}
 	if err := ef.Validate(); err != nil {
@@ -106,23 +110,22 @@ func run(args []string) error {
 		Log:        logf,
 	})
 	srv, err := serve.New(serve.Config{
-		CacheDir:         ef.CacheDir,
-		CacheVerify:      ef.CacheVerify,
-		Resume:           ef.Resume,
-		Retries:          ef.Retries,
-		StageTimeout:     ef.StageTimeout,
-		KeepGoing:        ef.KeepGoing,
-		Chaos:            ef.Chaos,
-		Parallelism:      ef.Jobs,
-		PointParallelism: ef.PointJobs,
-		Sampling:         ef.Sampling(),
-		QueueDepth:       *queueDepth,
-		SweepWorkers:     *workers,
-		Log:              logf,
-		Progress:         !*quiet,
-		Registry:         reg,
-		RemoteStore:      ef.RemoteStore,
-		Distribute:       coord.RunCampaign,
+		CacheDir:     ef.CacheDir,
+		CacheVerify:  ef.CacheVerify,
+		Resume:       ef.Resume,
+		Retries:      ef.Retries,
+		StageTimeout: ef.StageTimeout,
+		KeepGoing:    ef.KeepGoing,
+		Chaos:        ef.Chaos,
+		Parallelism:  ef.Jobs,
+		Sampling:     ef.Sampling(),
+		QueueDepth:   *queueDepth,
+		SweepWorkers: *workers,
+		Log:          logf,
+		Progress:     !*quiet,
+		Registry:     reg,
+		RemoteStore:  ef.RemoteStore,
+		Distribute:   coord.RunCampaign,
 	})
 	if err != nil {
 		return err
@@ -166,6 +169,35 @@ func run(args []string) error {
 	return nil
 }
 
+// Flags one mode of boomd never reads. A worker executes cells under the
+// campaign's own sampling spec and without the daemon's supervision, job
+// queue or coordinator settings; a daemon has no coordinator to join.
+var (
+	workerIgnored = []string{
+		"cache-verify", "resume", "retries", "keep-going", "stage-timeout", "remote-store",
+		"interval", "features", "sp-dims", "sp-maxk", "warmup",
+		"addr", "queue", "workers", "grace", "q", "lease", "audit",
+	}
+	daemonIgnored = []string{"coordinator", "worker-id"}
+)
+
+// checkModeFlags rejects a flag set on the command line that the chosen
+// mode would silently ignore. Only explicitly set flags count (fs.Visit),
+// so every default stays valid in both modes.
+func checkModeFlags(fs *flag.FlagSet, worker bool) error {
+	ignored, mode := daemonIgnored, "without -worker"
+	if worker {
+		ignored, mode = workerIgnored, "in -worker mode"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(ignored, f.Name) {
+			err = fmt.Errorf("-%s has no effect %s", f.Name, mode)
+		}
+	})
+	return err
+}
+
 // runWorker is -worker mode: one fabric worker polling a coordinator
 // until SIGTERM/SIGINT. The worker's cache directory (-cache, or a temp
 // dir) is its local artifact tier over the coordinator's store. RPCs use
@@ -184,17 +216,16 @@ func runWorker(coordinator, id string, ef *engineflags.Flags, logf func(string, 
 		hc = ef.RemoteClient(id)
 	}
 	w, err := fabric.NewWorker(fabric.WorkerConfig{
-		Coordinator:      coordinator,
-		ID:               id,
-		CacheDir:         ef.CacheDir,
-		Registry:         metrics.NewRegistry(),
-		Injector:         ef.Injector(),
-		HTTPClient:       hc,
-		ConnectTimeout:   ef.RemoteConnect,
-		RPCTimeout:       ef.RemoteTimeout,
-		Parallelism:      ef.Jobs,
-		PointParallelism: ef.PointJobs,
-		Log:              logf,
+		Coordinator:    coordinator,
+		ID:             id,
+		CacheDir:       ef.CacheDir,
+		Registry:       metrics.NewRegistry(),
+		Injector:       ef.Injector(),
+		HTTPClient:     hc,
+		ConnectTimeout: ef.RemoteConnect,
+		RPCTimeout:     ef.RemoteTimeout,
+		Parallelism:    ef.Jobs,
+		Log:            logf,
 	})
 	if err != nil {
 		return err

@@ -12,9 +12,11 @@ import (
 // chain), and that cell gates one measure cell per design point, so the
 // expensive chain runs once per workload no matter how many design points
 // share it. Runner.Sweep executes the graph with in-process workers;
-// internal/fabric's coordinator leases the same cells to remote workers.
-// Both claim the first ready cell in graph order, share the failure
-// cascade and the journal resume marking, and assemble the same *Sweep.
+// internal/fabric's coordinator leases the same cells to remote workers,
+// which execute each one through Runner.RunCell — the same supervisor and
+// cell body Sweep's workers use. Both schedulers claim the first ready
+// cell in graph order, share the failure cascade and the journal resume
+// marking, and assemble the same *Sweep.
 
 // Cell kinds; also the first segment of a cell label.
 const (
@@ -47,6 +49,7 @@ type Cell struct {
 	Payload []byte
 
 	gate    int // index of the gating profile cell; -1 for profile cells
+	cfg     int // index of the design point in the campaign; -1 for profile cells
 	state   CellState
 	profile *Profile // an in-process profile cell's product
 	result  *Result  // an in-process measure cell's product
@@ -89,12 +92,12 @@ func NewCellGraph(camp Campaign) *CellGraph {
 		g.cells = append(g.cells, c)
 	}
 	for _, wl := range camp.Workloads {
-		add(Cell{Label: CellLabel(CellProfile, "", wl), Kind: CellProfile, Workload: wl, gate: -1})
+		add(Cell{Label: CellLabel(CellProfile, "", wl), Kind: CellProfile, Workload: wl, gate: -1, cfg: -1})
 	}
-	for _, cfg := range camp.Configs {
+	for ci, cfg := range camp.Configs {
 		for i, wl := range camp.Workloads {
 			add(Cell{Label: CellLabel(CellMeasure, cfg.Name, wl), Kind: CellMeasure,
-				Workload: wl, Config: cfg.Name, gate: i})
+				Workload: wl, Config: cfg.Name, gate: i, cfg: ci})
 		}
 	}
 	g.remaining = len(g.cells)

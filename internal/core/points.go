@@ -50,17 +50,8 @@ type pointOutput struct {
 	aborted  bool   // skipped because a sibling point already failed
 }
 
-// pointBudget returns the per-cell cap on concurrently measured points:
-// WithPointParallelism when set, otherwise the full -j budget.
-func (r *Runner) pointBudget() int {
-	if r.pointPar >= 1 {
-		return r.pointPar
-	}
-	return r.par
-}
-
 // runPoints executes body(i, scratch) for every point index in [0, n).
-// The calling goroutine is always worker zero; up to pointBudget()-1
+// The calling goroutine is always worker zero; up to -j - 1
 // helpers are admitted by try-acquiring slots from the Runner's shared
 // budget, so cell-level sweep workers and point helpers can never
 // oversubscribe -j between them. Each worker owns a private power.Report
@@ -82,7 +73,7 @@ func (r *Runner) runPoints(n int, body func(i int, scratch *power.Report)) {
 			body(i, &scratch)
 		}
 	}
-	extra := r.pointBudget() - 1
+	extra := r.par - 1
 	if extra > n-1 {
 		extra = n - 1
 	}

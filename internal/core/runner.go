@@ -7,11 +7,11 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/asap7"
 	"repro/internal/bbv"
 	"repro/internal/boom"
 	"repro/internal/ckpt"
@@ -58,9 +58,9 @@ type Runner struct {
 	sampling     sampling.Spec
 	reg          *metrics.Registry
 	par          int
-	pointPar     int
 	sem          chan struct{} // shared -j slot budget (see points.go)
 	progress     func(string)
+	noteMu       sync.Mutex // serializes progress calls from concurrent cells
 	cache        *artifact.Cache
 	remote       *artifact.Remote
 	verify       bool
@@ -83,11 +83,6 @@ func WithScale(s workloads.Scale) Option {
 	return func(r *Runner) { r.scale = s }
 }
 
-// WithLib overrides the ASAP7 library used for power estimation.
-func WithLib(lib asap7.Library) Option {
-	return func(r *Runner) { r.fc.Lib = lib }
-}
-
 // WithSampling sets the Runner's sampling spec, used by direct
 // Profile/Run/Validate calls and by Sweep when the campaign itself
 // carries no spec. The zero value (the default) reproduces the legacy
@@ -108,26 +103,16 @@ func WithMetrics(reg *metrics.Registry) Option {
 
 // WithParallelism sets the Runner's total worker budget: the number of
 // Sweep workers, and — shared with them through one slot semaphore — the
-// ceiling on concurrent intra-cell point workers (see
-// WithPointParallelism). Values below 1 mean "one worker". Default:
+// ceiling on concurrent intra-cell point workers: a cell fans its points
+// out over whatever slots the sweep leaves idle, so a single-workload
+// campaign uses all of -j while a saturated 11×3 sweep degrades each cell
+// to serial measurement. Values below 1 mean "one worker". Default:
 // runtime.GOMAXPROCS(0). Results are bit-identical for every parallelism
 // level — each (workload, config) measurement is an isolated deterministic
 // core+CPU pair, and within a cell the per-point reduction is replayed
 // serially in checkpoint order (DESIGN §17).
 func WithParallelism(n int) Option {
 	return func(r *Runner) { r.par = n }
-}
-
-// WithPointParallelism caps how many simulation points of one (workload,
-// config) cell may be measured concurrently. The default (any n < 1)
-// shares the WithParallelism budget: a cell fans its points out over
-// whatever slots the sweep leaves idle, so a single-workload campaign
-// uses all of -j while a saturated 11×3 sweep degrades each cell to
-// serial measurement — the combined goroutine count never exceeds -j.
-// n = 1 forces strictly serial point measurement. Results are
-// bit-identical at every setting.
-func WithPointParallelism(n int) Option {
-	return func(r *Runner) { r.pointPar = n }
 }
 
 // WithProgress installs a callback receiving human-readable step strings.
@@ -288,6 +273,8 @@ func (r *Runner) stage(name string) func() {
 
 func (r *Runner) note(format string, args ...interface{}) {
 	if r.progress != nil {
+		r.noteMu.Lock()
+		defer r.noteMu.Unlock()
 		r.progress(fmt.Sprintf(format, args...))
 	}
 }

@@ -38,53 +38,85 @@ import (
 // entries in Results mark the failed pairs, including the measure cells of
 // a workload whose profile failed.
 func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
-	spec := r.effectiveSpec(camp)
 	g := NewCellGraph(camp)
 	jn := r.openJournal(camp, g)
 	defer jn.Close()
 
-	var noteMu sync.Mutex
-	note := func(format string, args ...interface{}) {
-		noteMu.Lock()
-		r.note(format, args...)
-		noteMu.Unlock()
-	}
-	cfgs := map[string]boom.Config{}
-	for _, cfg := range camp.Configs {
-		cfgs[cfg.Name] = cfg
-	}
-	// A running cell is owned by its worker; its gate finished (and was
-	// published under the engine lock) before the cell could be claimed.
-	run := func(ctx context.Context, c *Cell) error {
-		if c.Kind == CellProfile {
-			w, err := workloads.Build(c.Workload, camp.Scale)
-			if err != nil {
-				return wrapStage(StageProfile, c.Workload, "", err)
-			}
-			note("profiling %-14s (%s scale)", c.Workload, camp.Scale)
-			p, err := r.profileWith(ctx, w, spec, true)
-			if err != nil {
-				return err
-			}
-			c.profile = p
-			note("  %-14s %d insts, %d intervals, k=%d, %d simpoints, %.0f%% coverage",
-				c.Workload, p.TotalInsts, len(p.Vectors), p.Selection.K, p.NumSimPoints(),
-				100*p.Selection.Coverage)
-			return nil
-		}
-		note("measuring %-14s on %s", c.Workload, c.Config)
-		res, err := r.Run(ctx, g.Cell(c.gate).profile, cfgs[c.Config])
-		c.result = res
-		return err
-	}
-
-	stopped := r.runGraph(ctx, g, jn, run)
+	stopped := r.runGraph(ctx, g, jn)
 	var extra []error
 	if cerr := ctx.Err(); cerr != nil && stopped >= 0 {
 		// Name the stage the sweep had reached: the first unfinished cell's.
 		extra = append(extra, &StageError{Stage: g.Cell(stopped).Stage(), Err: cerr})
 	}
-	return g.Sweep(r.fc, spec, r.keepGoing, extra...)
+	return g.Sweep(r.fc, r.effectiveSpec(camp), r.keepGoing, extra...)
+}
+
+// RunCell executes the cell of camp's graph named label (see CellLabel)
+// through the supervisor and cell body Sweep's workers use: the same
+// retry policy, stage watchdog, panic recovery into a *StageError with
+// its stack, and core.sweep.* counters. It is how a node that holds one
+// cell at a time — a fabric worker — runs it, so a cell's result cannot
+// depend on which executor computed it. A measure cell reads its
+// workload's profile chain from the cache, where the gating profile cell
+// left it (on this node, or on any node sharing the remote store); a
+// missing chain is computed in place. Returns a measure cell's canonical
+// result bytes (EncodeMeasuredResult) and nil for a profile cell, whose
+// product is its cached artifact chain.
+func (r *Runner) RunCell(ctx context.Context, camp Campaign, label string) ([]byte, error) {
+	g := NewCellGraph(camp)
+	i := g.Lookup(label)
+	if i < 0 {
+		return nil, fmt.Errorf("core: campaign has no cell %q", label)
+	}
+	c := g.Cell(i)
+	if err := r.superviseCell(ctx, nil, g, c); err != nil || c.Kind == CellProfile {
+		return nil, err
+	}
+	return EncodeMeasuredResult(c.result)
+}
+
+// execCell is the body of one cell. A profile cell runs the profile →
+// select → checkpoint chain and keeps the Profile on the cell; a measure
+// cell measures its design point on the gating cell's in-memory Profile
+// when the gate ran in this sweep, and otherwise on the chain served from
+// the cache. Profiles decode their checkpoints lazily, so a warm chain
+// costs no decode until a measurement needs it. A running cell is owned
+// by its executor; its gate finished (and was published under the
+// engine lock) before the cell could be claimed.
+func (r *Runner) execCell(ctx context.Context, g *CellGraph, c *Cell) error {
+	if c.Kind == CellProfile {
+		r.note("profiling %-14s (%s scale)", c.Workload, g.camp.Scale)
+		p, err := r.cellProfile(ctx, g.camp, c.Workload)
+		if err != nil {
+			return err
+		}
+		c.profile = p
+		r.note("  %-14s %d insts, %d intervals, k=%d, %d simpoints, %.0f%% coverage",
+			c.Workload, p.TotalInsts, len(p.Vectors), p.Selection.K, p.NumSimPoints(),
+			100*p.Selection.Coverage)
+		return nil
+	}
+	p := g.Cell(c.gate).profile
+	if p == nil {
+		var err error
+		if p, err = r.cellProfile(ctx, g.camp, c.Workload); err != nil {
+			return err
+		}
+	}
+	r.note("measuring %-14s on %s", c.Workload, c.Config)
+	res, err := r.Run(ctx, p, g.camp.Configs[c.cfg])
+	c.result = res
+	return err
+}
+
+// cellProfile builds workload wl at the campaign's scale and profiles it
+// under the campaign's sampling spec, with lazily decoded checkpoints.
+func (r *Runner) cellProfile(ctx context.Context, camp Campaign, wl string) (*Profile, error) {
+	w, err := workloads.Build(wl, camp.Scale)
+	if err != nil {
+		return nil, wrapStage(StageProfile, wl, "", err)
+	}
+	return r.profileWith(ctx, w, r.effectiveSpec(camp), true)
 }
 
 // runGraph executes g on the Runner's worker pool. Each worker claims the
@@ -97,7 +129,7 @@ func (r *Runner) Sweep(ctx context.Context, camp Campaign) (*Sweep, error) {
 // counter, the queue-wait histogram and worker busy time. Queue wait is
 // measured from the moment a cell became ready. Returns the index of the
 // first cell (in graph order) that did not finish, or -1.
-func (r *Runner) runGraph(ctx context.Context, g *CellGraph, jn *journal.Writer, run func(context.Context, *Cell) error) int {
+func (r *Runner) runGraph(ctx context.Context, g *CellGraph, jn *journal.Writer) int {
 	workers := min(r.par, g.Len())
 	start := time.Now()
 	doneAt := make([]time.Time, g.Len())
@@ -137,7 +169,7 @@ func (r *Runner) runGraph(ctx context.Context, g *CellGraph, jn *journal.Writer,
 				t0 := time.Now()
 				qwait.Observe(t0.Sub(readyAt).Nanoseconds())
 				r.sem <- struct{}{}
-				err := r.runCell(ctx, jn, c, run)
+				err := r.superviseCell(ctx, jn, g, c)
 				<-r.sem
 				tasks.Inc()
 				busyNS[wk] += time.Since(t0).Nanoseconds()
@@ -196,12 +228,13 @@ func utilization(busyNS, wallNS int64) float64 {
 	return 1
 }
 
-// runCell supervises one cell: resume accounting and journaling around
-// guarded attempts under the retry policy. Transient failures (see
-// IsTransient) retry through internal/backoff — up to WithRetry's n
-// retries, waiting base, 2·base, 4·base, … — while anything else is
-// marked backoff.Permanent and fails on the spot.
-func (r *Runner) runCell(ctx context.Context, jn *journal.Writer, c *Cell, run func(context.Context, *Cell) error) error {
+// superviseCell runs one cell of g under supervision: resume accounting
+// and journaling (jn may be nil) around guarded attempts under the retry
+// policy. Transient failures (see IsTransient) retry through
+// internal/backoff — up to WithRetry's n retries, waiting base, 2·base,
+// 4·base, … — while anything else is marked backoff.Permanent and fails
+// on the spot.
+func (r *Runner) superviseCell(ctx context.Context, jn *journal.Writer, g *CellGraph, c *Cell) error {
 	if c.Resumed {
 		r.reg.Counter("core.sweep.tasks_resumed").Inc()
 	}
@@ -215,7 +248,7 @@ func (r *Runner) runCell(ctx context.Context, jn *journal.Writer, c *Cell, run f
 	var last error
 	err := backoff.Retry(ctx, policy, func(actx context.Context) error {
 		attempt++
-		last = r.attempt(actx, c, run)
+		last = r.attempt(actx, g, c)
 		if last == nil {
 			return nil
 		}
@@ -252,7 +285,7 @@ func (r *Runner) runCell(ctx context.Context, jn *journal.Writer, c *Cell, run f
 // into a *StageError carrying the captured stack, and a tripped per-stage
 // watchdog (deadline exceeded while the sweep's own context is still live)
 // is classified transient so the retry policy applies.
-func (r *Runner) attempt(parent context.Context, c *Cell, run func(context.Context, *Cell) error) (err error) {
+func (r *Runner) attempt(parent context.Context, g *CellGraph, c *Cell) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.reg.Counter("core.sweep.panics").Inc()
@@ -266,7 +299,7 @@ func (r *Runner) attempt(parent context.Context, c *Cell, run func(context.Conte
 			}
 		}
 	}()
-	err = run(parent, c)
+	err = r.execCell(parent, g, c)
 	if err != nil && parent.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
 		r.reg.Counter("core.sweep.timeouts").Inc()
 		err = Transient(err)

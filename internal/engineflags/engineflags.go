@@ -46,11 +46,7 @@ type Flags struct {
 	StageTimeout time.Duration
 	Chaos        string
 	Jobs         int
-	// PointJobs caps intra-cell simulation-point parallelism (-point-j).
-	// 0 shares the -j budget (the default; see core.WithPointParallelism),
-	// 1 forces serial point measurement, n > 1 caps helpers per cell.
-	PointJobs   int
-	RemoteStore string
+	RemoteStore  string
 	// RemoteConnect bounds dialing the remote store / coordinator;
 	// RemoteTimeout bounds the wait for response headers per RPC. The two
 	// are split deliberately: a single overall client timeout would also
@@ -92,7 +88,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.StageTimeout, "stage-timeout", 0, "watchdog deadline per pipeline stage (0 = none)")
 	fs.StringVar(&f.Chaos, "chaos", "", "deterministic fault-injection plan SEED:SPEC, e.g. 7:core.measure/sha/*=error (see internal/faultinject)")
 	fs.IntVar(&f.Jobs, "j", 0, "sweep parallelism (0 = all cores); results are bit-identical at any level")
-	fs.IntVar(&f.PointJobs, "point-j", 0, "simulation points measured concurrently within one cell (0 = share the -j budget, 1 = serial); results are bit-identical at any level")
 	fs.StringVar(&f.RemoteStore, "remote-store", "", "base URL of a remote artifact store used as a read-through tier over -cache")
 	fs.DurationVar(&f.RemoteConnect, "remote-connect-timeout", 5*time.Second, "dial timeout for remote-store/coordinator RPCs")
 	fs.DurationVar(&f.RemoteTimeout, "remote-timeout", 60*time.Second, "response-header timeout per remote RPC (not an overall cap; long polls and large transfers may run longer)")
@@ -123,9 +118,6 @@ func (f *Flags) Validate() error {
 	})
 	if explicitJobs && f.Jobs <= 0 {
 		return fmt.Errorf("-j %d: parallelism must be ≥ 1 (omit -j to use all cores)", f.Jobs)
-	}
-	if f.PointJobs < 0 {
-		return fmt.Errorf("-point-j %d: must be ≥ 0 (0 shares the -j budget)", f.PointJobs)
 	}
 	if f.Retries < 0 {
 		return fmt.Errorf("-retries %d: must be ≥ 0", f.Retries)
@@ -194,9 +186,6 @@ func (f *Flags) Options() ([]core.Option, error) {
 	var opts []core.Option
 	if f.Jobs > 0 {
 		opts = append(opts, core.WithParallelism(f.Jobs))
-	}
-	if f.PointJobs > 0 {
-		opts = append(opts, core.WithPointParallelism(f.PointJobs))
 	}
 	if f.CacheDir != "" {
 		opts = append(opts, core.WithCache(f.CacheDir), core.WithCacheVerify(f.CacheVerify))

@@ -33,7 +33,6 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{[]string{"-j", "0"}, "-j 0"},
 		{[]string{"-j", "-4"}, "-j -4"},
-		{[]string{"-point-j", "-1"}, "-point-j"},
 		{[]string{"-retries", "-1"}, "-retries"},
 		{[]string{"-stage-timeout", "-1s"}, "-stage-timeout"},
 		{[]string{"-cache-verify"}, "-cache-verify requires -cache"},
@@ -79,7 +78,7 @@ func TestDefaultJobsValid(t *testing.T) {
 // TestOptionsBuilt: every set flag must contribute its engine option.
 func TestOptionsBuilt(t *testing.T) {
 	f := parse(t,
-		"-j", "2", "-point-j", "2", "-cache", t.TempDir(), "-cache-verify", "-resume",
+		"-j", "2", "-cache", t.TempDir(), "-cache-verify", "-resume",
 		"-retries", "3", "-keep-going", "-stage-timeout", "5s",
 		"-chaos", "7:core.measure/sha/*=error",
 		"-remote-store", "http://store:9000")
@@ -87,10 +86,10 @@ func TestOptionsBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// parallelism, point parallelism, cache, cache-verify, keep-going,
-	// resume, retry, stage-timeout, fault injector, remote store
-	if len(opts) != 10 {
-		t.Errorf("built %d options, want 10", len(opts))
+	// parallelism, cache, cache-verify, keep-going, resume, retry,
+	// stage-timeout, fault injector, remote store
+	if len(opts) != 9 {
+		t.Errorf("built %d options, want 9", len(opts))
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/boom"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/journal"
 	"repro/internal/serve"
 	"repro/internal/workloads"
 )
@@ -395,7 +396,7 @@ func TestQuarantineRequeuesSuspectCells(t *testing.T) {
 	// The journal fragment must carry the retraction: a revoke record for
 	// the suspect cell followed by the honest recomputation, so a resumed
 	// coordinator replays honest bytes, not the liar's.
-	merged := fabric.MergeJournals(id, fabric.FragmentPath(dir, id))
+	merged := journal.Read(id, fabric.FragmentPath(dir, id)).Cells
 	if got := merged[plainLabel]; !bytes.Equal(got, honestQsort) {
 		t.Errorf("journal replays %d-byte payload for %s; want the honest recomputation", len(got), plainLabel)
 	}

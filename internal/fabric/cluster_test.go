@@ -32,6 +32,7 @@ import (
 	"repro/internal/dse"
 	"repro/internal/fabric"
 	"repro/internal/faultinject"
+	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/sampling"
 	"repro/internal/serve"
@@ -44,6 +45,7 @@ type cluster struct {
 	coordReg   *metrics.Registry
 	ts         *httptest.Server
 	workerRegs []*metrics.Registry
+	workerDirs []string // each worker's CacheDir
 	cancel     context.CancelFunc
 	wg         sync.WaitGroup
 }
@@ -64,12 +66,18 @@ type clusterOpts struct {
 	// ("fabric.report=error") and per-worker rules
 	// ("artifact.remote.get/worker-1=corrupt") stay deterministic.
 	netChaos string
+	// log receives the coordinator's and workers' lifecycle lines (nil =
+	// t.Logf).
+	log func(format string, args ...interface{})
 }
 
 func startCluster(t *testing.T, o clusterOpts) *cluster {
 	t.Helper()
 	if o.storeDir == "" {
 		o.storeDir = t.TempDir()
+	}
+	if o.log == nil {
+		o.log = t.Logf
 	}
 	var inj *faultinject.Injector
 	if o.chaos != "" {
@@ -88,7 +96,7 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 		JournalDir: o.storeDir,
 		AuditFrac:  o.audit,
 		Injector:   inj,
-		Log:        t.Logf,
+		Log:        o.log,
 	})
 	c.ts = httptest.NewServer(c.coord.Handler())
 
@@ -117,14 +125,16 @@ func startCluster(t *testing.T, o clusterOpts) *cluster {
 				Peer:     id,
 			}}
 		}
+		dir := t.TempDir()
+		c.workerDirs = append(c.workerDirs, dir)
 		w, err := fabric.NewWorker(fabric.WorkerConfig{
 			Coordinator: c.ts.URL,
 			ID:          id,
-			CacheDir:    t.TempDir(),
+			CacheDir:    dir,
 			Registry:    reg,
 			Injector:    winj,
 			HTTPClient:  hc,
-			Log:         t.Logf,
+			Log:         o.log,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -174,6 +184,20 @@ func goldenDigests(t *testing.T) map[string]string {
 // sweep's canonical JSON digest against the pinned golden values.
 func checkAgainstGolden(t *testing.T, sw *core.Sweep) {
 	t.Helper()
+	checkCellsAgainstGolden(t, sw)
+	enc, err := serve.EncodeSweep("equiv", workloads.ScaleTiny, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != goldenDigests(t)["sweepjson"] {
+		t.Errorf("sweepjson: distributed digest %s, golden %s", got, goldenDigests(t)["sweepjson"])
+	}
+}
+
+// checkCellsAgainstGolden verifies the simpoint digest of every cell of a
+// (possibly partial) tiny-scale sweep against the pinned golden values.
+func checkCellsAgainstGolden(t *testing.T, sw *core.Sweep) {
+	t.Helper()
 	golden := goldenDigests(t)
 	for _, cfg := range sw.ConfigNames {
 		for _, name := range sw.Names {
@@ -191,13 +215,6 @@ func checkAgainstGolden(t *testing.T, sw *core.Sweep) {
 				t.Errorf("%s: distributed digest %s, golden %s", key, got, golden[key])
 			}
 		}
-	}
-	enc, err := serve.EncodeSweep("equiv", workloads.ScaleTiny, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != golden["sweepjson"] {
-		t.Errorf("sweepjson: distributed digest %s, golden %s", got, golden["sweepjson"])
 	}
 }
 
@@ -406,6 +423,82 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}
 	if want := directBytes(t, id, camp); !bytes.Equal(enc, want) {
 		t.Errorf("resumed distributed bytes differ from direct run:\n got %s\nwant %s", enc, want)
+	}
+}
+
+// TestWorkerPanicRecovered: a worker runs its cells through
+// core.Runner.RunCell, the supervisor Runner.Sweep uses, so a panic in a
+// cell comes back as the same *StageError a single node reports — stage,
+// workload, config, "(recovered panic)" — not a bare message. The worker
+// survives, the coordinator regrants the cell, and the campaign stays
+// golden.
+func TestWorkerPanicRecovered(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	c := startCluster(t, clusterOpts{
+		workers:     1,
+		workerChaos: []string{"1:core.measure/sha/MediumBOOM=panic"},
+		log: func(format string, args ...interface{}) {
+			mu.Lock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+			mu.Unlock()
+			t.Logf(format, args...)
+		},
+	})
+	camp := core.NewCampaign([]string{"sha", "qsort"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)
+	sw, err := c.coord.RunCampaign(context.Background(), "panic-once", camp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCellsAgainstGolden(t, sw)
+	enc, err := serve.EncodeSweep("panic-once", camp.Scale, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := directBytes(t, "panic-once", camp); !bytes.Equal(enc, want) {
+		t.Errorf("campaign bytes after a recovered panic differ from direct run")
+	}
+
+	const want = "stage measure workload=sha config=MediumBOOM (recovered panic)"
+	mu.Lock()
+	defer mu.Unlock()
+	found := false
+	for _, ln := range lines {
+		if strings.Contains(ln, "failed on worker-0") && strings.Contains(ln, want) {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no coordinator log line reports %q; log:\n%s", want, strings.Join(lines, "\n"))
+	}
+	if n := c.workerRegs[0].Counter("core.sweep.panics").Value(); n != 1 {
+		t.Errorf("worker core.sweep.panics = %d, want 1", n)
+	}
+}
+
+// TestWorkersKeepNoJournal: only the coordinator journals a campaign;
+// every cell a worker finishes reaches that journal through its done
+// report, so no worker writes a journal of its own.
+func TestWorkersKeepNoJournal(t *testing.T) {
+	store := t.TempDir()
+	c := startCluster(t, clusterOpts{workers: 2, storeDir: store})
+	camp := core.NewCampaign([]string{"sha", "qsort"}, mustConfigs(t, "MediumBOOM"), workloads.ScaleTiny)
+	const id = "no-worker-journal"
+	if _, err := c.coord.RunCampaign(context.Background(), id, camp, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.stop()
+	for i, dir := range c.workerDirs {
+		found, err := filepath.Glob(filepath.Join(dir, "fabric-*.journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(found) > 0 {
+			t.Errorf("worker-%d wrote journal(s) %v", i, found)
+		}
+	}
+	if cells := journal.Read(id, fabric.FragmentPath(store, id)).Cells; len(cells) != 4 {
+		t.Errorf("coordinator journal lists %d cells, want 4", len(cells))
 	}
 }
 

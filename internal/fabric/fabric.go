@@ -7,8 +7,8 @@
 // already guarantees. Every cell is an isolated, bit-reproducible
 // computation keyed by the campaign fingerprint, so the coordinator never
 // has to arbitrate between results: a stolen cell finished twice produced
-// identical bytes both times, a resumed campaign replays journal
-// fragments instead of recomputing, and the merged Sweep encodes — via
+// identical bytes both times, a resumed campaign replays the coordinator's
+// journal instead of recomputing, and the merged Sweep encodes — via
 // the same wall-clock-free serve.EncodeSweep — byte-identically to a
 // single-node Runner.Sweep of the same campaign.
 //
@@ -441,24 +441,12 @@ func (c *Coordinator) assemble(r *run) (*core.Sweep, error) {
 	return r.g.Sweep(core.FlowConfigFor(r.camp.Scale), r.camp.Sampling, c.cfg.KeepGoing)
 }
 
-// FragmentPath returns the journal fragment location for one campaign
-// under a node's cache/journal directory. Every node — the coordinator as
-// cells are reported done, each worker as it finishes cells locally —
-// journals completed cells (internal/journal) to its own fragment.
+// FragmentPath returns the coordinator's journal location for one
+// campaign under its journal directory. Only the coordinator journals:
+// every cell a worker finishes reaches it through the done report, and
+// Resume replays this one file (internal/journal).
 func FragmentPath(dir, campaignID string) string {
 	return filepath.Join(dir, "fabric-"+short(campaignID)+".journal")
-}
-
-// MergeJournals is the fabric's recovery path: a restarted coordinator (or
-// an operator gathering fragments off dead workers' disks) merges any
-// number of fragments into the union of completed cells for campaign
-// wantID, keyed by cell label. Measure cells map to their canonical
-// payload bytes, profile cells to nil (use the comma-ok form to tell
-// "done profile" from "absent"). Foreign fragments are ignored whole;
-// missing files and torn lines are skipped; on a duplicate label the
-// first occurrence — in path order, then file order — wins silently.
-func MergeJournals(wantID string, paths ...string) map[string][]byte {
-	return journal.Read(wantID, paths...).Cells
 }
 
 // short abbreviates a campaign fingerprint for log lines.

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"encoding/json"
+
 	"repro/internal/boom"
 	"repro/internal/core"
 	"repro/internal/sampling"
@@ -100,10 +102,20 @@ func encodeCampaign(c core.Campaign) campaignWire {
 	return campaignWire{Workloads: c.Workloads, Configs: c.Configs, Scale: int(c.Scale), Sampling: c.Sampling}
 }
 
-func (w campaignWire) campaign() core.Campaign {
+// decodeCampaignSpec decodes a served campaign spec and validates it: the
+// spec is outside input to the worker, and a campaign Validate rejects —
+// duplicate config names, say — has no unambiguous cells to execute.
+func decodeCampaignSpec(raw []byte) (core.Campaign, error) {
+	var w campaignWire
+	if err := json.Unmarshal(raw, &w); err != nil {
+		return core.Campaign{}, err
+	}
 	c := core.NewCampaign(w.Workloads, w.Configs, workloads.Scale(w.Scale))
 	c.Sampling = w.Sampling
-	return c
+	if err := c.Validate(); err != nil {
+		return core.Campaign{}, err
+	}
+	return c, nil
 }
 
 // WorkerStatus is one worker's row in StatusReply.

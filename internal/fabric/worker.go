@@ -17,9 +17,7 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/journal"
 	"repro/internal/metrics"
-	"repro/internal/workloads"
 )
 
 // WorkerConfig carries one worker's knobs; only Coordinator is required.
@@ -64,15 +62,16 @@ type WorkerConfig struct {
 	// what keeps storeless audit re-executions, which can never hit the
 	// shared store, from paying full serial latency.
 	Parallelism int
-	// PointParallelism caps points measured concurrently within one cell
-	// (0 = share the Parallelism budget, 1 = serial).
-	PointParallelism int
 }
 
 // Worker is the execution side of the fabric: it registers with a
-// coordinator, polls for cells, runs them with an ordinary core.Runner
-// (local cache over the cluster's remote artifact store), and reports
-// canonical result bytes back. Create with NewWorker, drive with Run.
+// coordinator, polls for cells, runs each through core.Runner.RunCell —
+// the supervised executor Runner.Sweep uses, over a local cache in front
+// of the cluster's remote artifact store — and reports canonical result
+// bytes back. The worker keeps no journal: every finished cell reaches
+// the coordinator's journal through its done report, and a measure
+// cell's artifact reaches the store as the cache writes through. Create
+// with NewWorker, drive with Run.
 type Worker struct {
 	cfg  WorkerConfig
 	base string
@@ -83,10 +82,9 @@ type Worker struct {
 	store   bool
 
 	mu           sync.Mutex
-	runners      map[string]*core.Runner    // per-campaign, keyed by fingerprint
-	auditRunners map[string]*core.Runner    // per-campaign Fresh (storeless) runners
-	camps        map[string]core.Campaign   // decoded campaign specs, same keys
-	frags        map[string]*journal.Writer // per-campaign journal fragments
+	runners      map[string]*core.Runner  // per-campaign, keyed by fingerprint
+	auditRunners map[string]*core.Runner  // per-campaign Fresh (storeless) runners
+	camps        map[string]core.Campaign // decoded campaign specs, same keys
 }
 
 // NewWorker validates the config and fills defaults.
@@ -203,13 +201,6 @@ func (w *Worker) postRetry(ctx context.Context, p backoff.Policy, path string, b
 // canceled. Run only returns ctx.Err(); transient coordinator errors are
 // absorbed by backoff.
 func (w *Worker) Run(ctx context.Context) error {
-	defer func() {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		for _, f := range w.frags {
-			f.Close()
-		}
-	}()
 	if err := w.register(ctx); err != nil {
 		return err
 	}
@@ -277,8 +268,8 @@ func (w *Worker) register(ctx context.Context) error {
 	return nil
 }
 
-// execute runs one leased cell end to end: hook, heartbeat loop, task
-// body, done report. A lost lease (stolen while we ran) abandons the cell
+// execute runs one leased cell end to end: hook, heartbeat loop,
+// Runner.RunCell, done report. A lost lease (stolen while we ran) abandons the cell
 // without reporting — the thief's bytes are identical anyway.
 func (w *Worker) execute(ctx context.Context, t Task) {
 	if w.cfg.TaskHook != nil {
@@ -319,7 +310,11 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 		}
 	}()
 
-	payload, err := w.runTask(tctx, t)
+	var payload []byte
+	r, camp, err := w.runner(tctx, t.Campaign, t.Fresh)
+	if err == nil {
+		payload, err = r.RunCell(tctx, camp, t.Label())
+	}
 	cancel()
 	hbWG.Wait()
 	if lost {
@@ -333,18 +328,10 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 	if err == nil && t.Kind == core.CellMeasure {
 		// Chaos site "fabric.payload/<id>": a worker that computes
 		// correctly but reports corrupted bytes — bit flips applied to the
-		// canonical payload before it is journaled or reported, so the
-		// wire JSON stays valid and the lie reaches the coordinator's
-		// audit layer instead of dying in a decoder.
+		// canonical payload before it is reported, so the wire JSON stays
+		// valid and the lie reaches the coordinator's audit layer instead
+		// of dying in a decoder.
 		payload = w.cfg.Injector.Corrupt(payload, "fabric.payload", w.cfg.ID)
-	}
-	if err == nil && !t.Fresh {
-		// The worker's own journal fragment: if this node dies before (or
-		// while) reporting, an operator can still gather the fragment and
-		// MergeJournals it into the coordinator's — the cell's canonical
-		// bytes are not lost with the report. Audit re-executions are
-		// deliberately not journaled: their product is a vote, not a cell.
-		w.fragmentFor(t.Campaign).Done(t.Label(), payload)
 	}
 	done := doneRequest{Worker: w.cfg.ID, Task: t, OK: err == nil, Payload: payload}
 	if err != nil {
@@ -360,63 +347,16 @@ func (w *Worker) execute(ctx context.Context, t Task) {
 	}
 }
 
-// runTask executes one cell body, converting panics (chaos drills, model
-// bugs) into reported errors so one poisoned cell never takes the worker
-// down.
-func (w *Worker) runTask(ctx context.Context, t Task) (payload []byte, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("fabric: panic in %s: %v", t.Label(), rec)
-		}
-	}()
-	// An audit re-execution (Fresh) derives the result independently: the
-	// fresh runner has its own cache directory and no remote store tier, so
-	// nothing computed by the worker under audit can leak into this
-	// derivation — agreement means agreement of computations, not of
-	// caches.
-	r, camp, err := w.runner(ctx, t.Campaign, t.Fresh)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := workloads.Build(t.Workload, camp.Scale)
-	if err != nil {
-		return nil, err
-	}
-	switch t.Kind {
-	case core.CellProfile:
-		// The product is the artifact chain itself: Profile fills the local
-		// cache and — via the synchronous write-through in artifact.Cache —
-		// the cluster store, so every other worker's measure cells fetch
-		// this chain instead of recomputing it.
-		_, err := r.Profile(ctx, wl)
-		return nil, err
-	case core.CellMeasure:
-		for i := range camp.Configs {
-			if camp.Configs[i].Name == t.Config {
-				p, perr := r.Profile(ctx, wl) // cache/store hit: the gated profile cell ran first
-				if perr != nil {
-					return nil, perr
-				}
-				res, rerr := r.Run(ctx, p, camp.Configs[i])
-				if rerr != nil {
-					return nil, rerr
-				}
-				return core.EncodeMeasuredResult(res)
-			}
-		}
-		return nil, fmt.Errorf("fabric: campaign has no config %q", t.Config)
-	default:
-		return nil, fmt.Errorf("fabric: unknown task kind %q", t.Kind)
-	}
-}
-
 // runner returns (building on first use) the per-campaign Runner: the
 // campaign spec is fetched from the coordinator and the Runner assembled
-// exactly as a single node would, plus the remote store tier when the
+// with the campaign's flow parameters (RunCell takes scale and sampling
+// from the campaign itself), plus the remote store tier when the
 // coordinator serves one. With fresh it returns the campaign's audit
 // runner instead: same campaign, same flow, but a private cache directory
 // and no remote store, so every audited cell is recomputed from scratch on
-// this node.
+// this node — nothing computed by the worker under audit can leak into
+// the derivation, and agreement means agreement of computations, not of
+// caches.
 func (w *Worker) runner(ctx context.Context, campaignID string, fresh bool) (*core.Runner, core.Campaign, error) {
 	camp, err := w.fetchCampaign(ctx, campaignID)
 	if err != nil {
@@ -436,8 +376,6 @@ func (w *Worker) runner(ctx context.Context, campaignID string, fresh bool) (*co
 		cacheDir = filepath.Join(cacheDir, "audit-fresh")
 	}
 	opts := []core.Option{
-		core.WithScale(camp.Scale),
-		core.WithSampling(camp.Sampling),
 		core.WithCache(cacheDir),
 		core.WithMetrics(w.cfg.Registry),
 		core.WithFaultInjector(w.cfg.Injector),
@@ -447,9 +385,6 @@ func (w *Worker) runner(ctx context.Context, campaignID string, fresh bool) (*co
 	}
 	if w.cfg.Parallelism > 0 {
 		opts = append(opts, core.WithParallelism(w.cfg.Parallelism))
-	}
-	if w.cfg.PointParallelism > 0 {
-		opts = append(opts, core.WithPointParallelism(w.cfg.PointParallelism))
 	}
 	r := core.New(core.FlowConfigFor(camp.Scale), opts...)
 	runners[campaignID] = r
@@ -484,36 +419,14 @@ func (w *Worker) fetchCampaign(ctx context.Context, id string) (core.Campaign, e
 	if resp.StatusCode != http.StatusOK {
 		return core.Campaign{}, fmt.Errorf("fabric: fetching campaign %s: %s", short(id), resp.Status)
 	}
-	var wire campaignWire
-	if err := json.Unmarshal(raw, &wire); err != nil {
+	camp, err := decodeCampaignSpec(raw)
+	if err != nil {
 		return core.Campaign{}, fmt.Errorf("fabric: campaign %s spec: %w", short(id), err)
 	}
-	camp := wire.campaign()
 	w.mu.Lock()
 	w.camps[id] = camp
 	w.mu.Unlock()
 	return camp, nil
-}
-
-// fragmentFor returns (opening on first use) the worker's journal
-// fragment for one campaign, under the worker's cache directory. An
-// existing fragment is extended — its header already names this campaign
-// because FragmentPath is campaign-scoped.
-func (w *Worker) fragmentFor(campaignID string) *journal.Writer {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.frags == nil {
-		w.frags = map[string]*journal.Writer{}
-	}
-	if f, ok := w.frags[campaignID]; ok {
-		return f
-	}
-	path := FragmentPath(w.cfg.CacheDir, campaignID)
-	_, statErr := os.Stat(path)
-	f := journal.Open(path, campaignID, statErr == nil,
-		w.cfg.Registry.Counter("fabric.journal_write_errors"), w.cfg.Log)
-	w.frags[campaignID] = f // nil (disabled) is cached too: stays inert
-	return f
 }
 
 // sleepCtx sleeps d or until ctx cancels; reports whether the full sleep

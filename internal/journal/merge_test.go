@@ -1,19 +1,18 @@
-package fabric
+package journal
 
 import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/journal"
 )
 
-// writeFragment builds a fragment file through the production writer
-// (internal/journal, shared with the single-node sweep journal).
+// writeFragment builds a journal file through the production writer; the
+// tests below read several such files at once, the way a restarted
+// coordinator could merge journals from more than one node.
 func writeFragment(t *testing.T, dir, name, campaignID string, cells map[string][]byte, order []string) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
-	w := journal.Open(path, campaignID, false, nil, t.Logf)
+	w := Open(path, campaignID, false, nil, t.Logf)
 	if w == nil {
 		t.Fatal("journal.Open failed")
 	}
@@ -41,7 +40,7 @@ func TestMergeInterleaved(t *testing.T) {
 		"measure/medium/qsort": []byte("qsort@medium"),
 	}, []string{"profile/qsort", "measure/mega/sha", "measure/medium/qsort"})
 
-	cells := MergeJournals("camp-1", a, b)
+	cells := Read("camp-1", a, b).Cells
 	if len(cells) != 6 {
 		t.Fatalf("merged %d cells, want 6: %v", len(cells), cells)
 	}
@@ -76,12 +75,12 @@ func TestMergeDuplicateFirstWins(t *testing.T) {
 	b := writeFragment(t, dir, "b.journal", "camp-1",
 		map[string][]byte{"measure/medium/sha": []byte("second")},
 		[]string{"measure/medium/sha"})
-	cells := MergeJournals("camp-1", a, b)
+	cells := Read("camp-1", a, b).Cells
 	if got := string(cells["measure/medium/sha"]); got != "first" {
 		t.Errorf("duplicate resolved to %q, want first occurrence", got)
 	}
 	// And in the opposite path order the other fragment wins.
-	cells = MergeJournals("camp-1", b, a)
+	cells = Read("camp-1", b, a).Cells
 	if got := string(cells["measure/medium/sha"]); got != "second" {
 		t.Errorf("reversed order resolved to %q, want %q", got, "second")
 	}
@@ -104,7 +103,7 @@ func TestMergeTornTrailingLine(t *testing.T) {
 	}
 	f.Close()
 
-	cells := MergeJournals("camp-1", p)
+	cells := Read("camp-1", p).Cells
 	if len(cells) != 2 {
 		t.Fatalf("merged %d cells, want the 2 complete ones: %v", len(cells), cells)
 	}
@@ -124,12 +123,12 @@ func TestMergeForeignFragment(t *testing.T) {
 		map[string][]byte{"measure/medium/sha": []byte("theirs"), "measure/mega/fft": []byte("x")},
 		[]string{"measure/medium/sha", "measure/mega/fft"})
 
-	cells := MergeJournals("camp-1", ours, theirs)
+	cells := Read("camp-1", ours, theirs).Cells
 	if len(cells) != 1 || string(cells["measure/medium/sha"]) != "ours" {
 		t.Errorf("merge polluted by foreign fragment: %v", cells)
 	}
 	// Missing files are skipped, not fatal.
-	cells = MergeJournals("camp-1", filepath.Join(dir, "nope.journal"), ours)
+	cells = Read("camp-1", filepath.Join(dir, "nope.journal"), ours).Cells
 	if len(cells) != 1 {
 		t.Errorf("missing fragment path broke the merge: %v", cells)
 	}
@@ -140,36 +139,36 @@ func TestMergeForeignFragment(t *testing.T) {
 // verify a second recovery sees both generations.
 func TestFragmentExtendRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := FragmentPath(dir, "0123456789abcdef0123")
-	w := journal.Open(path, "0123456789abcdef0123", false, nil, t.Logf)
+	path := filepath.Join(dir, "fabric-0123456789ab.journal")
+	w := Open(path, "0123456789abcdef0123", false, nil, t.Logf)
 	w.Done("profile/sha", nil)
 	w.Done("measure/medium/sha", []byte("gen-1"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	got := MergeJournals("0123456789abcdef0123", path)
+	got := Read("0123456789abcdef0123", path).Cells
 	if len(got) != 2 {
 		t.Fatalf("first recovery %v", got)
 	}
 
-	w = journal.Open(path, "0123456789abcdef0123", true, nil, t.Logf)
+	w = Open(path, "0123456789abcdef0123", true, nil, t.Logf)
 	w.Done("measure/mega/sha", []byte("gen-2"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	got = MergeJournals("0123456789abcdef0123", path)
+	got = Read("0123456789abcdef0123", path).Cells
 	if len(got) != 3 || string(got["measure/mega/sha"]) != "gen-2" || string(got["measure/medium/sha"]) != "gen-1" {
 		t.Fatalf("second recovery %v", got)
 	}
 
 	// Truncate mode (a fresh campaign admission without resume) discards
 	// the old generations.
-	w = journal.Open(path, "0123456789abcdef0123", false, nil, t.Logf)
+	w = Open(path, "0123456789abcdef0123", false, nil, t.Logf)
 	w.Done("profile/fft", nil)
 	w.Close()
-	got = MergeJournals("0123456789abcdef0123", path)
+	got = Read("0123456789abcdef0123", path).Cells
 	if len(got) != 1 {
 		t.Fatalf("truncating reopen kept stale cells: %v", got)
 	}
@@ -177,7 +176,7 @@ func TestFragmentExtendRoundTrip(t *testing.T) {
 
 // TestNilFragmentWriter: a nil writer (journaling disabled) is inert.
 func TestNilFragmentWriter(t *testing.T) {
-	var w *journal.Writer
+	var w *Writer
 	w.Done("measure/medium/sha", []byte("x"))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -71,10 +71,9 @@ type Config struct {
 	// Resume replays a matching sweep journal under CacheDir on the next
 	// submission of that campaign and reruns only unfinished tasks.
 	Resume bool
-	// Retries bounds per-task retry on transient faults; RetryBase is the
-	// backoff base (default 10ms when Retries > 0).
-	Retries   int
-	RetryBase time.Duration
+	// Retries bounds per-task retry on transient faults (backoff base:
+	// core.WithRetry's default).
+	Retries int
 	// StageTimeout arms a watchdog per pipeline stage (0 = none).
 	StageTimeout time.Duration
 	// KeepGoing runs every (workload, config) pair despite failures and
@@ -85,10 +84,6 @@ type Config struct {
 	Chaos string
 	// Parallelism is per-sweep worker count (0 = all cores).
 	Parallelism int
-	// PointParallelism caps simulation points measured concurrently within
-	// one cell (0 = share the Parallelism budget, 1 = serial; see
-	// core.WithPointParallelism).
-	PointParallelism int
 	// Sampling is the default sampling spec applied to campaigns whose
 	// request carries no "sampling" block. The zero value keeps the
 	// legacy flow (and its fingerprints) untouched; a request-level block
@@ -102,8 +97,6 @@ type Config struct {
 	// keep it at 1 when CacheDir is set — the journal is one file per
 	// cache dir, so concurrent sweeps would contend for it).
 	SweepWorkers int
-	// RetryAfter is the hint returned with 429/503 (default 2s).
-	RetryAfter time.Duration
 
 	// TaskHook mirrors core.WithTaskHook (crash drills in tests).
 	TaskHook func(completed int)
@@ -153,12 +146,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SweepWorkers <= 0 {
 		cfg.SweepWorkers = 1
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 2 * time.Second
-	}
-	if cfg.Retries > 0 && cfg.RetryBase <= 0 {
-		cfg.RetryBase = 10 * time.Millisecond
 	}
 	if cfg.CacheDir == "" {
 		if cfg.CacheVerify {
@@ -265,7 +252,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		s.mu.Unlock()
 		s.reg.Counter("serve.jobs_rejected_draining").Inc()
-		w.Header().Set("Retry-After", retryAfterSecs(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfterSecs)
 		s.httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
@@ -290,7 +277,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.mu.Unlock()
 		s.reg.Counter("serve.jobs_rejected_full").Inc()
-		w.Header().Set("Retry-After", retryAfterSecs(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfterSecs)
 		s.httpError(w, http.StatusTooManyRequests,
 			fmt.Sprintf("job queue full (%d queued)", s.cfg.QueueDepth))
 		return
@@ -383,9 +370,6 @@ func (s *Server) newRunner(c core.Campaign) (*core.Runner, error) {
 	if s.cfg.Parallelism > 0 {
 		opts = append(opts, core.WithParallelism(s.cfg.Parallelism))
 	}
-	if s.cfg.PointParallelism > 0 {
-		opts = append(opts, core.WithPointParallelism(s.cfg.PointParallelism))
-	}
 	if s.cfg.CacheDir != "" {
 		opts = append(opts, core.WithCache(s.cfg.CacheDir), core.WithCacheVerify(s.cfg.CacheVerify))
 	}
@@ -399,7 +383,7 @@ func (s *Server) newRunner(c core.Campaign) (*core.Runner, error) {
 		opts = append(opts, core.WithKeepGoing(true))
 	}
 	if s.cfg.Retries > 0 {
-		opts = append(opts, core.WithRetry(s.cfg.Retries, s.cfg.RetryBase))
+		opts = append(opts, core.WithRetry(s.cfg.Retries, 0))
 	}
 	if s.cfg.StageTimeout > 0 {
 		opts = append(opts, core.WithStageTimeout(s.cfg.StageTimeout))
@@ -459,10 +443,5 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-func retryAfterSecs(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
-}
+// retryAfterSecs is the Retry-After hint on 429 and draining 503 answers.
+const retryAfterSecs = "2"
